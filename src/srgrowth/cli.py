@@ -38,7 +38,7 @@ from .errors import (
     SegmentCoverageError,
 )
 from .fitting import FitConfig, fit_all
-from .models import _MEAN, MODEL_ORDER, ModelId, descriptor
+from .models import MODEL_ORDER, ModelId, descriptor, mean_value
 from .pipeline import (
     DEFAULT_MIN_FAULTS,
     build_series,
@@ -52,23 +52,25 @@ from .pipeline import (
     segment_releases,
 )
 from .reporting import (
+    COMPARISON_COLUMNS,
+    DUNN_COLUMNS,
     EFFECT_LEGEND,
+    GOF_COLUMNS,
+    SEGMENT_COLUMNS,
+    SKIPPED_COLUMNS,
+    SUMMARY_COLUMNS,
+    TREND_COLUMNS,
     base_metadata,
     comparison_to_dict,
+    gof_row,
+    ranking_rows,
     read_gof_csv,
     read_json,
     read_segments_csv,
+    trend_row,
     unique_slugs,
-    write_comparison_csv,
-    write_curve_csv,
-    write_dunn_csv,
-    write_gof_csv,
+    write_csv,
     write_json,
-    write_ranking_csv,
-    write_segments_csv,
-    write_skipped_csv,
-    write_summary_csv,
-    write_trend_csv,
 )
 from .series import FailureSeries
 from .stats import GOF_METRICS, compare_groups, laplace_factor, rank_models
@@ -323,14 +325,14 @@ def cmd_trend(args) -> int:
         if s.n < 2:
             skipped.append((s.label, f"only {s.n} observations; trend needs 2"))
             continue
-        rows.append((s.label, laplace_factor(s)))
+        rows.append(trend_row(s.label, laplace_factor(s)))
     if not rows:
         raise InsufficientDataError("no series with enough observations for the trend test")
 
-    write_trend_csv(out / "trend.csv", rows)
+    write_csv(out / "trend.csv", TREND_COLUMNS, rows)
     if segments:
-        write_segments_csv(out / "segments.csv", sorted(segments.items()))
-    write_skipped_csv(out / "skipped.csv", skipped)
+        write_csv(out / "segments.csv", SEGMENT_COLUMNS, sorted(segments.items()))
+    write_csv(out / "skipped.csv", SKIPPED_COLUMNS, skipped)
 
     meta = base_metadata("trend")
     meta.update(
@@ -338,8 +340,8 @@ def cmd_trend(args) -> int:
             "grouping": args.group_by,
             "min_faults": args.min_faults,
             "series": {
-                label: {"n": trend.n, "segment": segments.get(label.split(":", 1)[0], "all")}
-                for label, trend in rows
+                row["series"]: {"n": row["n"], "segment": segments.get(row["series"], "all")}
+                for row in rows
             },
         }
     )
@@ -349,22 +351,13 @@ def cmd_trend(args) -> int:
             out / "report.json",
             {
                 "metadata": meta,
-                "trend": [
-                    {
-                        "series": label,
-                        "n": t.n,
-                        "horizon_days": t.horizon,
-                        "laplace_u": t.u,
-                        "growth_significant": t.growth_significant,
-                    }
-                    for label, t in rows
-                ],
-                "skipped": [{"name": n, "reason": r} for n, r in skipped],
+                "trend": rows,
+                "skipped": [dict(zip(SKIPPED_COLUMNS, row)) for row in skipped],
             },
         )
-    for label, trend in rows:
-        flag = "growth" if trend.growth_significant else "no significant growth"
-        print(f"{label}: u={trend.u:.4f} ({flag})")
+    for row in rows:
+        flag = "growth" if row["growth_significant"] else "no significant growth"
+        print(f"{row['series']}: u={row['laplace_u']:.4f} ({flag})")
     return 0
 
 
@@ -414,35 +407,37 @@ def cmd_fit(args) -> int:
     curves_dir = out / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
 
-    gof_rows = []
+    fits = []
     trend_rows = []
     series_meta = {}
     for s in fitted_series:
-        trend_rows.append((s.label, laplace_factor(s)))
+        trend_rows.append(trend_row(s.label, laplace_factor(s)))
         results = fit_all(s, models, cfg)
-        fitted_columns = []
-        for result in results:
-            if all(math.isfinite(v) for v in result.params):
-                fitted_columns.append(
-                    np.asarray(_MEAN[result.model](np.asarray(result.params), s.times))
-                )
-            else:
-                fitted_columns.append(None)
-        write_curve_csv(curves_dir / f"{slugs[s.label]}.csv", s, results, fitted_columns)
-        gof_rows.extend((s.label, r) for r in results)
-        segment = segments.get(s.label.split(":", 1)[0])
+        curves = [
+            mean_value(r.model, r.params, s.times).tolist()
+            if all(math.isfinite(v) for v in r.params)
+            else [None] * s.n
+            for r in results
+        ]
+        write_csv(
+            curves_dir / f"{slugs[s.label]}.csv",
+            ["t", "observed", *(str(r.model) for r in results)],
+            zip(s.times.tolist(), s.cumulative.tolist(), *curves),
+        )
+        fits.extend((s.label, r) for r in results)
         series_meta[s.label] = {
             "n": s.n,
-            "segment": segment if segment is not None else "all",
+            "segment": segments.get(s.label, "all"),
             "curve": f"curves/{slugs[s.label]}.csv",
         }
 
-    write_gof_csv(out / "gof.csv", gof_rows)
-    write_trend_csv(out / "trend.csv", trend_rows)
-    write_skipped_csv(out / "skipped.csv", skipped)
+    write_csv(out / "gof.csv", GOF_COLUMNS, (gof_row(label, r) for label, r in fits))
+    write_csv(out / "trend.csv", TREND_COLUMNS, trend_rows)
+    write_csv(out / "skipped.csv", SKIPPED_COLUMNS, skipped)
     if segments:
-        write_segments_csv(
+        write_csv(
             out / "segments.csv",
+            SEGMENT_COLUMNS,
             [(s.label, series_meta[s.label]["segment"]) for s in fitted_series],
         )
 
@@ -477,19 +472,10 @@ def cmd_fit(args) -> int:
                         "converged": r.converged,
                         "iterations_used": r.iterations_used,
                     }
-                    for label, r in gof_rows
+                    for label, r in fits
                 ],
-                "trend": [
-                    {
-                        "series": label,
-                        "n": t.n,
-                        "horizon_days": t.horizon,
-                        "laplace_u": t.u,
-                        "growth_significant": t.growth_significant,
-                    }
-                    for label, t in trend_rows
-                ],
-                "skipped": [{"name": n, "reason": r} for n, r in skipped],
+                "trend": trend_rows,
+                "skipped": [dict(zip(SKIPPED_COLUMNS, row)) for row in skipped],
             },
         )
 
@@ -598,9 +584,9 @@ def cmd_compare(args) -> int:
             summary_rows.append(row)
         report_comparisons.append(comparison_to_dict(segment, metric, comparison))
 
-    write_comparison_csv(out / "comparison.csv", comparison_rows)
-    write_dunn_csv(out / "dunn.csv", dunn_rows)
-    write_summary_csv(out / "summary.csv", summary_rows)
+    write_csv(out / "comparison.csv", COMPARISON_COLUMNS, comparison_rows)
+    write_csv(out / "dunn.csv", DUNN_COLUMNS, dunn_rows)
+    write_csv(out / "summary.csv", SUMMARY_COLUMNS, summary_rows)
 
     meta = base_metadata("compare")
     meta.update({"metric": metric, "effect_legend": EFFECT_LEGEND, "segments": segment_names})
@@ -638,7 +624,7 @@ def cmd_rank(args) -> int:
             groups.setdefault(segment, []).append(result)
 
     table = rank_models(groups, args.metric)
-    write_ranking_csv(out / "ranking.csv", table)
+    write_csv(out / "ranking.csv", ["model", *table.segments], ranking_rows(table))
 
     meta = base_metadata("rank")
     meta.update(

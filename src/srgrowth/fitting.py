@@ -20,7 +20,6 @@ the error variance counted as one extra estimated parameter, hence k + 1.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
     NumericError,
     SrgrowthError,
 )
-from .models import _GRAD, _MEAN, MODEL_ORDER, ModelId, descriptor, search_bounds, validate_params
+from .models import _KERNELS, MODEL_ORDER, ModelId, descriptor, search_bounds, validate_params
 from .series import FailureSeries
 
 RSS_FLOOR = 1e-12
@@ -141,7 +140,7 @@ def _require_enough_points(model: ModelId, series: FailureSeries) -> None:
 
 def _model_rng(cfg: FitConfig, model: ModelId) -> np.random.Generator:
     # Stream is keyed by (seed, model position) so each model sees the same
-    # draws whether it is fitted alone, in a batch, or concurrently.
+    # draws whether it is fitted alone or in a batch.
     seed = cfg.rng_seed & 0xFFFFFFFFFFFFFFFF
     return np.random.default_rng([seed, MODEL_ORDER.index(model)])
 
@@ -156,7 +155,7 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
     k = lo.size
     t = series.times
     y = series.cumulative
-    mean_fn = _MEAN[mid]
+    kernel = _KERNELS[mid]
     rng = _model_rng(cfg, mid)
 
     best_rss = math.inf
@@ -166,7 +165,7 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
         batch = min(_SEARCH_CHUNK, remaining)
         remaining -= batch
         candidates = np.exp(log_lo + rng.random((batch, k)) * log_span)
-        residuals = mean_fn(candidates, t) - y
+        residuals = kernel(candidates, t) - y
         rss = np.einsum("ij,ij->i", residuals, residuals)
         rss = np.where(np.isfinite(rss), rss, math.inf)
         idx = int(np.argmin(rss))
@@ -183,7 +182,7 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
 # ---------------------------------------------------------------------------
 
 
-def _fd_jacobian(mean_fn, p: np.ndarray, t: np.ndarray, lo, hi) -> np.ndarray:
+def _fd_jacobian(kernel, p: np.ndarray, t: np.ndarray, lo, hi) -> np.ndarray:
     k = p.size
     cols = []
     for i in range(k):
@@ -196,7 +195,7 @@ def _fd_jacobian(mean_fn, p: np.ndarray, t: np.ndarray, lo, hi) -> np.ndarray:
         if span <= 0.0:
             cols.append(np.zeros_like(t))
             continue
-        cols.append((mean_fn(up, t) - mean_fn(dn, t)) / span)
+        cols.append((kernel(up, t) - kernel(dn, t)) / span)
     return np.stack(cols, axis=-1)
 
 
@@ -223,10 +222,9 @@ def refine(
     p = _clip_params(p, lo, hi)
     t = series.times
     y = series.cumulative
-    mean_fn = _MEAN[mid]
-    grad_fn = _GRAD[mid]
+    kernel = _KERNELS[mid]
 
-    fitted = mean_fn(p, t)
+    fitted = kernel(p, t)
     residuals = y - fitted
     if not np.all(np.isfinite(residuals)):
         raise NumericError(f"{mid} produced non-finite residuals at {p.tolist()}")
@@ -238,9 +236,9 @@ def refine(
     iterations = 0
     for _ in range(cfg.max_refine_iterations):
         iterations += 1
-        jac = grad_fn(p, t)
+        jac = kernel(p, t, jac=True)
         if not np.all(np.isfinite(jac)):
-            jac = _fd_jacobian(mean_fn, p, t, lo, hi)
+            jac = _fd_jacobian(kernel, p, t, lo, hi)
         if not np.all(np.isfinite(jac)):
             break  # hopeless curvature information: report non-convergence
         jtj = jac.T @ jac
@@ -260,7 +258,7 @@ def refine(
                 rejections += 1
                 continue
             p_new = _clip_params(p + step, lo, hi)
-            fitted_new = mean_fn(p_new, t)
+            fitted_new = kernel(p_new, t)
             residuals_new = y - fitted_new
             rss_new = (
                 float(residuals_new @ residuals_new)
@@ -297,7 +295,7 @@ def refine(
 
     n = series.n
     k = p.size
-    fitted = mean_fn(p, t)
+    fitted = kernel(p, t)
     scores = GofScores(
         r2=r_squared(y, fitted),
         aic=aic(rss, n, k),
@@ -346,16 +344,13 @@ def fit_all(
     series: FailureSeries,
     models=MODEL_ORDER,
     cfg: FitConfig = FitConfig(),
-    workers: int = 1,
 ) -> list[FitResult]:
     """Fit every requested model to one series.
 
     Results come back in the canonical model order.  A model whose fit
     fails outright (for example too few points for its parameter count)
     yields a placeholder result with ``converged=False`` and NaN scores;
-    the batch itself never aborts.  ``workers > 1`` fans the per-model
-    fits out to a thread pool; results are identical to the sequential
-    composition because each model draws from its own seeded stream.
+    the batch itself never aborts.
     """
     requested = {ModelId(m) for m in models}
     if not requested:
@@ -368,7 +363,4 @@ def fit_all(
         except SrgrowthError:
             return _failure_result(mid, series)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, ordered))
     return [one(m) for m in ordered]

@@ -4,13 +4,14 @@ Numbers are printed with 17 significant digits, enough for float64 values
 to round-trip exactly, so downstream commands reading a fit directory see
 bit-identical values and repeated runs with the same seed produce
 byte-identical files.  CSVs follow RFC 4180 (comma separated, CRLF, minimal
-quoting) in UTF-8.
+quoting) in UTF-8.  JSON is strict: non-finite floats are written as null.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -18,11 +19,17 @@ from typing import Iterable, Sequence
 from . import __version__
 from .fitting import FitResult, GofScores
 from .models import ModelId
-from .series import FailureSeries
-from .stats import EFFECT_THRESHOLDS, GroupComparison, RankingTable, TrendResult
+from .stats import EFFECT_THRESHOLDS, GOF_METRICS, GroupComparison, RankingTable, TrendResult
 
 GOF_COLUMNS = ("series", "model", "a", "b", "c", "rss", "r2", "aic", "bic", "rse", "converged")
 TREND_COLUMNS = ("series", "n", "horizon_days", "laplace_u", "growth_significant")
+SEGMENT_COLUMNS = ("series", "segment")
+SKIPPED_COLUMNS = ("name", "reason")
+COMPARISON_COLUMNS = ("segment", "metric", "k", "n", "H", "df", "p_value", "eta_squared", "effect")
+DUNN_COLUMNS = ("segment", "model_a", "model_b", "p_adj")
+SUMMARY_COLUMNS = ("segment", "model", "n") + tuple(
+    f"{metric}_{stat}" for metric in GOF_METRICS for stat in ("mean", "sd")
+)
 
 # How the ambiguous formulas are computed in this tool; recorded in every
 # run's metadata so reports are self-describing.
@@ -55,10 +62,6 @@ def fmt_float(value: float | None) -> str:
     return format(float(value), ".17g")
 
 
-def fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def slugify(label: str) -> str:
     slug = re.sub(r"[^A-Za-z0-9._-]+", "_", label).strip("_")
     return slug or "series"
@@ -80,37 +83,64 @@ def unique_slugs(labels: Sequence[str]) -> dict[str, str]:
     return out
 
 
-def _open_csv(path: Path):
-    return open(path, "w", newline="", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
-# fit outputs
+# CSV tables
 # ---------------------------------------------------------------------------
 
 
-def write_gof_csv(path: Path, rows: Iterable[tuple[str, FitResult]]) -> None:
-    """One row per (series, model): parameters in positional columns a, b, c."""
-    with _open_csv(path) as handle:
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return fmt_float(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+def write_csv(path: Path, columns: Sequence[str], rows: Iterable) -> None:
+    """A header of ``columns``, then one record per row.
+
+    A row is a dict from column name to value, or a sequence of values in
+    column order.  Cells are formatted by type: None as an empty cell,
+    bools as true/false, floats by ``fmt_float``, anything else by ``str``.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(GOF_COLUMNS)
-        for label, result in rows:
-            params = list(result.params) + [None] * (3 - len(result.params))
-            writer.writerow(
-                [
-                    label,
-                    str(result.model),
-                    fmt_float(params[0]),
-                    fmt_float(params[1]),
-                    fmt_float(params[2]),
-                    fmt_float(result.rss),
-                    fmt_float(result.gof.r2),
-                    fmt_float(result.gof.aic),
-                    fmt_float(result.gof.bic),
-                    fmt_float(result.gof.rse),
-                    fmt_bool(result.converged),
-                ]
-            )
+        writer.writerow(columns)
+        for row in rows:
+            values = [row[c] for c in columns] if isinstance(row, dict) else row
+            writer.writerow([_cell(v) for v in values])
+
+
+def gof_row(label: str, result: FitResult) -> tuple:
+    """One gof.csv row: parameters in positional columns a, b, c."""
+    a, b, c = (*result.params, None, None)[:3]
+    gof = result.gof
+    return (
+        label, result.model, a, b, c, result.rss,
+        gof.r2, gof.aic, gof.bic, gof.rse, result.converged,
+    )
+
+
+def trend_row(label: str, trend: TrendResult) -> dict:
+    """One trend.csv row, which is also the series' trend entry in report.json."""
+    return {
+        "series": label,
+        "n": trend.n,
+        "horizon_days": trend.horizon,
+        "laplace_u": trend.u,
+        "growth_significant": trend.growth_significant,
+    }
+
+
+def ranking_rows(table: RankingTable) -> list[list]:
+    """ranking.csv rows under the columns ``model`` and then each segment;
+    models are ordered best-first by mean rank across segments."""
+
+    def mean_rank(model: ModelId) -> float:
+        return sum(table.ranks[s][model] for s in table.segments) / len(table.segments)
+
+    ordered = sorted(table.models, key=lambda m: (mean_rank(m), m.value))
+    return [[model, *(table.ranks[s][model] for s in table.segments)] for model in ordered]
 
 
 def read_gof_csv(path: Path, n_by_series: dict[str, int] | None = None) -> list[tuple[str, FitResult]]:
@@ -148,49 +178,6 @@ def read_gof_csv(path: Path, n_by_series: dict[str, int] | None = None) -> list[
     return out
 
 
-def write_curve_csv(
-    path: Path,
-    series: FailureSeries,
-    results: Sequence[FitResult],
-    fitted_columns: Sequence[Sequence[float] | None],
-) -> None:
-    """Observed cumulative counts and each model's fitted curve at the
-    observation times."""
-    observed = series.cumulative
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "observed"] + [str(r.model) for r in results])
-        for i, t in enumerate(series.times):
-            row = [fmt_float(t), fmt_float(observed[i])]
-            for fitted in fitted_columns:
-                row.append("" if fitted is None else fmt_float(fitted[i]))
-            writer.writerow(row)
-
-
-def write_trend_csv(path: Path, rows: Iterable[tuple[str, TrendResult]]) -> None:
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TREND_COLUMNS)
-        for label, trend in rows:
-            writer.writerow(
-                [
-                    label,
-                    str(trend.n),
-                    fmt_float(trend.horizon),
-                    fmt_float(trend.u),
-                    fmt_bool(trend.growth_significant),
-                ]
-            )
-
-
-def write_segments_csv(path: Path, assignments: Iterable[tuple[str, str]]) -> None:
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["series", "segment"])
-        for series, segment in assignments:
-            writer.writerow([series, segment])
-
-
 def read_segments_csv(path: Path) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, newline="", encoding="utf-8") as handle:
@@ -200,76 +187,9 @@ def read_segments_csv(path: Path) -> dict[str, str]:
     return out
 
 
-def write_skipped_csv(path: Path, rows: Iterable[tuple[str, str]]) -> None:
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["name", "reason"])
-        for name, reason in rows:
-            writer.writerow([name, reason])
-
-
 # ---------------------------------------------------------------------------
-# comparison and ranking outputs
+# comparison report
 # ---------------------------------------------------------------------------
-
-
-def write_comparison_csv(path: Path, rows: Iterable[dict]) -> None:
-    columns = ("segment", "metric", "k", "n", "H", "df", "p_value", "eta_squared", "effect")
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["segment"],
-                    row["metric"],
-                    str(row["k"]),
-                    str(row["n"]),
-                    fmt_float(row["H"]),
-                    str(row["df"]),
-                    fmt_float(row["p_value"]),
-                    fmt_float(row["eta_squared"]),
-                    row["effect"],
-                ]
-            )
-
-
-def write_dunn_csv(path: Path, rows: Iterable[tuple[str, str, str, float]]) -> None:
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["segment", "model_a", "model_b", "p_adj"])
-        for segment, a, b, p in rows:
-            writer.writerow([segment, a, b, fmt_float(p)])
-
-
-def write_summary_csv(path: Path, rows: Iterable[dict]) -> None:
-    columns = ["segment", "model", "n"]
-    for metric in ("r2", "aic", "bic", "rse"):
-        columns += [f"{metric}_mean", f"{metric}_sd"]
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            record = [row["segment"], row["model"], str(row["n"])]
-            for metric in ("r2", "aic", "bic", "rse"):
-                record.append(fmt_float(row[f"{metric}_mean"]))
-                sd = row[f"{metric}_sd"]
-                record.append("" if sd is None else fmt_float(sd))
-            writer.writerow(record)
-
-
-def write_ranking_csv(path: Path, table: RankingTable) -> None:
-    """Rows are models ordered best-first by mean rank across segments."""
-
-    def mean_rank(model: ModelId) -> float:
-        return sum(table.ranks[s][model] for s in table.segments) / len(table.segments)
-
-    ordered = sorted(table.models, key=lambda m: (mean_rank(m), m.value))
-    with _open_csv(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["model"] + list(table.segments))
-        for model in ordered:
-            writer.writerow([str(model)] + [str(table.ranks[s][model]) for s in table.segments])
 
 
 def comparison_to_dict(segment: str, metric: str, comparison: GroupComparison) -> dict:
@@ -305,8 +225,21 @@ def comparison_to_dict(segment: str, metric: str, comparison: GroupComparison) -
 # ---------------------------------------------------------------------------
 
 
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    """Strict JSON: NaN and infinite floats are written as null."""
+    text = json.dumps(
+        _finite_or_null(payload), indent=2, sort_keys=True, default=str, allow_nan=False
+    )
     path.write_text(text + "\n", encoding="utf-8")
 
 

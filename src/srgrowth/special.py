@@ -1,11 +1,11 @@
 """Scalar special functions backing the statistical tests.
 
-The chi-square survival function and the normal CDF both reduce to the
-regularized incomplete gamma function, which is computed here with the
-classic pair of algorithms: a power series for the lower function when
-``x < a + 1`` and a Lentz-style continued fraction for the upper function
-otherwise.  Both iterate to machine precision, comfortably below the 1e-10
-accuracy the statistics require, and need nothing beyond ``math``.
+The chi-square survival function reduces to the regularized incomplete
+gamma function, which is computed here with the classic pair of
+algorithms: a power series for the lower function when ``x < a + 1`` and a
+Lentz-style continued fraction for the upper function otherwise.  Both
+iterate to machine precision, comfortably below the 1e-10 accuracy the
+statistics require, and need nothing beyond ``math``.
 """
 
 from __future__ import annotations
@@ -90,36 +90,6 @@ def reg_upper_gamma(a: float, x: float) -> float:
         if t <= _MACHEP:
             break
     return ans * ax
-
-
-def erf(x: float) -> float:
-    """Error function, via the incomplete gamma identity erf(x) = P(1/2, x^2)."""
-    if x == 0.0:
-        return 0.0
-    value = reg_lower_gamma(0.5, x * x)
-    return math.copysign(value, x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, accurate in the far tail."""
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x == 0.0:
-        return 1.0
-    return reg_upper_gamma(0.5, x * x)
-
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF Phi(z)."""
-    return 0.5 * erfc(-z / _SQRT2)
-
-
-def normal_sf(z: float) -> float:
-    """Standard normal survival function 1 - Phi(z)."""
-    return 0.5 * erfc(z / _SQRT2)
 
 
 def chi2_sf(x: float, df: float) -> float:

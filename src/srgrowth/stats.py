@@ -8,8 +8,9 @@ The module answers three questions about fitted results:
 * do different project segments agree on the model ranking (a
   total-agreement percentage over rank ties across segments).
 
-Everything here is exact arithmetic over small samples; tail probabilities
-come from the in-repo incomplete gamma routines in :mod:`srgrowth.special`.
+Everything here is exact arithmetic over small samples; chi-square tail
+probabilities come from the in-repo incomplete gamma routines in
+:mod:`srgrowth.special`, normal tails from ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import InsufficientDataError, SegmentCoverageError
 from .fitting import FitResult
 from .models import MODEL_ORDER, ModelId
 from .series import FailureSeries
-from .special import chi2_sf, normal_sf
+from .special import chi2_sf
 
 LAPLACE_CRITICAL = 1.96
 
@@ -188,7 +189,7 @@ def dunn_posthoc(groups: Sequence[Iterable[float]]) -> np.ndarray:
                 p_adj = 1.0
             else:
                 z = (mean_ranks[i] - mean_ranks[j]) / math.sqrt(variance)
-                p_adj = min(1.0, 2.0 * normal_sf(abs(z)) * n_pairs)
+                p_adj = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)) * n_pairs)
             out[i, j] = out[j, i] = p_adj
     return out
 

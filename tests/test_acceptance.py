@@ -41,8 +41,8 @@ from srgrowth.pipeline import (
     segment_releases,
 )
 from srgrowth.series import FailureSeries
-from srgrowth.special import chi2_sf, normal_cdf
-from srgrowth.stats import eta_squared, kruskal_wallis, laplace_factor
+from srgrowth.special import chi2_sf
+from srgrowth.stats import dunn_posthoc, eta_squared, kruskal_wallis, laplace_factor
 
 UTC = timezone.utc
 T0 = datetime(2022, 6, 1, tzinfo=UTC)
@@ -281,7 +281,15 @@ def test_chi_square_survival_at_the_5_percent_point():
 
 
 def test_normal_cdf_at_the_97_5_percent_point():
-    assert normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-7)
+    """Dunn's two-sided p at the normal 97.5% point.  Ranks 9..31 and 42
+    against the other 25 ranks of 1..49: the mean ranks 502/24 and 723/25
+    differ by 2401/300, the variance (49*50/12)(1/24 + 1/25) is (49/12)^2,
+    so z = 1.96 exactly.  With one pair there is no Bonferroni factor, and
+    p = 2(1 - Phi(1.96)) = 0.0499958 (normal table: Phi(1.96) = 0.9750021)."""
+    first = list(range(9, 32)) + [42]
+    second = [r for r in range(1, 50) if r not in first]
+    p = dunn_posthoc([[float(r) for r in first], [float(r) for r in second]])
+    assert p[0, 1] == pytest.approx(0.0499958, abs=1e-7)
 
 
 def test_eta_squared_effect_size_and_label():
@@ -454,7 +462,7 @@ def test_corpus_mean_r2_ordering():
     cfg = FitConfig(rng_seed=42, search_budget=20_000)
     totals = {model: [] for model in MODEL_ORDER}
     for path in files:
-        issues, _ = parse_issues(path.read_bytes())
+        issues = parse_issues(path.read_bytes()).records
         defects = filter_defects(issues)
         if len(defects) < 20:
             continue

@@ -211,6 +211,52 @@ def test_fit_attribute_grouping_and_rank(tmp_path, two_projects, capsys):
     assert len(lines) == 10  # nine models under the header
 
 
+def test_segment_of_project_whose_name_contains_a_colon(tmp_path):
+    a = write_issues(tmp_path / "acme:core.json", 50, scale=60.0, rate=0.9)
+    b = write_issues(tmp_path / "beta.json", 40, scale=45.0, rate=1.2)
+    attrs = tmp_path / "attrs.csv"
+    attrs.write_text("project,category,loc,noc,noi,nofa\n"
+                     "acme:core,C1,5000,50,400,200\n"
+                     "beta,C2,50000,150,3000,1000\n")
+    for verb in ("trend", "fit"):
+        out = tmp_path / verb
+        assert main([
+            verb, "--issues", str(a), str(b), "--attributes", str(attrs),
+            "--group-by", "domain", "--out", str(out),
+        ] + (["--budget", "200"] if verb == "fit" else [])) == 0
+        segs = (out / "segments.csv").read_bytes().decode("utf-8")
+        assert segs.strip("\r\n").split("\r\n")[1:] == ["acme:core,C1", "beta,C2"]
+        meta = read_json(out / "run_metadata.json")
+        assert meta["series"]["acme:core"]["segment"] == "C1"
+        assert meta["series"]["beta"]["segment"] == "C2"
+
+
+def test_fit_report_json_is_strict_with_null_placeholders(tmp_path):
+    # 3 points: the two-parameter models fit, the three-parameter ones
+    # yield placeholder rows
+    tiny = write_issues(tmp_path / "tiny.json", 3)
+    out = tmp_path / "fit"
+    assert main(["fit", "--issues", str(tiny), "--budget", "200",
+                 "--out", str(out), "--format", "csv,json"]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"),
+                        parse_constant=reject)
+    placeholders = {row["model"]: row for row in report["gof"] if row["rss"] is None}
+    assert sorted(placeholders) == ["HD", "LL", "WE", "YE", "YR"]
+    for row in placeholders.values():
+        assert row["params"] == [None, None, None]
+        assert [row[m] for m in ("r2", "aic", "bic", "rse")] == [None] * 4
+        assert row["converged"] is False
+    curve = (out / "curves" / "tiny.csv").read_bytes().decode("utf-8").split("\r\n")
+    header = curve[0].split(",")
+    cells = curve[1].split(",")
+    assert cells[header.index("GO")] != ""
+    assert all(cells[header.index(m)] == "" for m in placeholders)
+
+
 def test_fit_attribute_gap_exits_three(tmp_path, two_projects):
     a, b = two_projects
     attrs = tmp_path / "attrs.csv"

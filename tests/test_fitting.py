@@ -177,18 +177,6 @@ def test_fit_all_subset_matches_fit_one():
     assert solo.rss == batch_we.rss
 
 
-def test_fit_all_threaded_matches_sequential():
-    series = synthetic_series(ModelId.GOS, (220.0, 0.06), n=90, horizon=140.0)
-    cfg = FitConfig(search_budget=800, rng_seed=55)
-    seq = fit_all(series, cfg=cfg, workers=1)
-    par = fit_all(series, cfg=cfg, workers=4)
-    assert [r.model for r in seq] == [r.model for r in par]
-    for a, b in zip(seq, par):
-        assert a.params == b.params
-        assert a.rss == b.rss
-        assert a.iterations_used == b.iterations_used
-
-
 def test_fit_all_short_series_yields_placeholder_not_crash():
     # 3 points: enough for the 2-parameter models, not for 3-parameter ones.
     t = np.array([1.0, 2.0, 3.0])

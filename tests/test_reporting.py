@@ -10,21 +10,23 @@ from srgrowth.models import ModelId, mean_value
 from srgrowth.reporting import (
     FORMULA_VARIANTS,
     GOF_COLUMNS,
+    SEGMENT_COLUMNS,
+    TREND_COLUMNS,
     base_metadata,
     fmt_float,
+    gof_row,
+    ranking_rows,
     read_gof_csv,
     read_json,
     read_segments_csv,
     slugify,
+    trend_row,
     unique_slugs,
-    write_curve_csv,
-    write_gof_csv,
+    write_csv,
     write_json,
-    write_segments_csv,
-    write_trend_csv,
 )
 from srgrowth.series import FailureSeries
-from srgrowth.stats import laplace_factor
+from srgrowth.stats import RankingTable, laplace_factor
 
 
 def result_of(model="GO", params=(10.0, 0.5), rss=1.5, n=30, converged=True):
@@ -45,6 +47,10 @@ def test_fmt_float_special_values():
     assert fmt_float(None) == ""
     assert fmt_float(float("nan")) == "nan"
     assert fmt_float(1.0) == "1"
+
+
+def write_gof(path, pairs):
+    write_csv(path, GOF_COLUMNS, [gof_row(label, result) for label, result in pairs])
 
 
 def csv_lines(path):
@@ -69,7 +75,7 @@ def test_unique_slugs_disambiguate_collisions():
 
 def test_gof_csv_layout(tmp_path):
     path = tmp_path / "gof.csv"
-    write_gof_csv(path, [("proj", result_of())])
+    write_gof(path, [("proj", result_of())])
     lines = csv_lines(path)
     assert lines[0] == ",".join(GOF_COLUMNS)
     first = lines[1].split(",")
@@ -87,7 +93,7 @@ def test_gof_csv_round_trip(tmp_path):
         ("p2", result_of(model="LL", params=(float("nan"),) * 3,
                          rss=float("nan"), converged=False)),
     ]
-    write_gof_csv(path, rows)
+    write_gof(path, rows)
     back = read_gof_csv(path, n_by_series={"p1": 30, "p2": 30})
     assert len(back) == 3
     for (label_a, res_a), (label_b, res_b) in zip(rows, back):
@@ -104,7 +110,7 @@ def test_gof_csv_round_trip(tmp_path):
 
 def test_gof_csv_read_without_metadata_defaults_n_zero(tmp_path):
     path = tmp_path / "gof.csv"
-    write_gof_csv(path, [("p", result_of())])
+    write_gof(path, [("p", result_of())])
     (pair,) = read_gof_csv(path)
     assert pair[1].n == 0
 
@@ -112,11 +118,11 @@ def test_gof_csv_read_without_metadata_defaults_n_zero(tmp_path):
 def test_curve_csv_blank_for_failed_models(tmp_path):
     times = np.array([1.0, 2.0, 3.0, 4.0])
     series = FailureSeries(times=times, horizon=4.0, label="s")
-    ok = result_of()
-    fitted = [float(v) for v in mean_value(ModelId.GO, ok.params, times)]
-    failed = result_of(model="LL", params=(float("nan"),) * 3, converged=False)
+    fitted = [float(v) for v in mean_value(ModelId.GO, result_of().params, times)]
     path = tmp_path / "curve.csv"
-    write_curve_csv(path, series, [ok, failed], [fitted, None])
+    # the fit command passes None cells for a model it could not fit
+    write_csv(path, ["t", "observed", "GO", "LL"],
+              zip(series.times, series.cumulative, fitted, [None] * series.n))
     lines = csv_lines(path)
     assert lines[0] == "t,observed,GO,LL"
     cells = lines[1].split(",")
@@ -128,7 +134,7 @@ def test_trend_csv_layout(tmp_path):
     series = FailureSeries(times=np.array([1.0, 2.0, 3.0]), horizon=4.0, label="s")
     res = laplace_factor(series)
     path = tmp_path / "trend.csv"
-    write_trend_csv(path, [("s", res)])
+    write_csv(path, TREND_COLUMNS, [trend_row("s", res)])
     lines = csv_lines(path)
     assert lines[0] == "series,n,horizon_days,laplace_u,growth_significant"
     assert lines[1] == "s,3,4,0,false"
@@ -136,7 +142,7 @@ def test_trend_csv_layout(tmp_path):
 
 def test_segments_csv_round_trip(tmp_path):
     path = tmp_path / "segments.csv"
-    write_segments_csv(path, [("p1", "C3"), ("p2", "S")])
+    write_csv(path, SEGMENT_COLUMNS, [("p1", "C3"), ("p2", "S")])
     assert read_segments_csv(path) == {"p1": "C3", "p2": "S"}
 
 
@@ -173,7 +179,7 @@ def test_gof_csv_survives_fit_results_end_to_end(tmp_path):
     series = FailureSeries(times=t, horizon=60.0, label="sim", counts=counts)
     results = fit_all(series, models=("GO", "MO"), cfg=FitConfig(search_budget=400))
     path = tmp_path / "gof.csv"
-    write_gof_csv(path, [(series.label, r) for r in results])
+    write_gof(path, [(series.label, r) for r in results])
     back = read_gof_csv(path, n_by_series={"sim": series.n})
     assert [r.model for _, r in back] == [ModelId.GO, ModelId.MO]
     for (_, original), (_, restored) in zip(
@@ -181,3 +187,43 @@ def test_gof_csv_survives_fit_results_end_to_end(tmp_path):
     ):
         assert original.params == restored.params  # .17g is lossless
         assert original.gof.aic == restored.gof.aic
+
+
+def test_write_csv_formats_cells_by_type(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("s", "i", "f", "b", "none", "model"),
+              [{"s": "x,y", "i": 3, "f": 0.1, "b": False, "none": None, "model": ModelId.HD},
+               ["z", 0, float("nan"), True, None, ModelId.GO]])
+    assert csv_lines(path) == [
+        "s,i,f,b,none,model",
+        '"x,y",3,0.10000000000000001,false,,HD',
+        "z,0,nan,true,,GO",
+    ]
+
+
+def test_ranking_rows_order_models_by_mean_rank():
+    table = RankingTable(
+        segments=("S", "M"),
+        models=(ModelId.GO, ModelId.MO, ModelId.LL),
+        metric="r2",
+        ranks={"S": {ModelId.GO: 3, ModelId.MO: 1, ModelId.LL: 2},
+               "M": {ModelId.GO: 3, ModelId.MO: 2, ModelId.LL: 1}},
+        ira_percent=None,
+    )
+    # MO and LL tie on mean rank 1.5; the model id breaks the tie
+    assert ranking_rows(table) == [
+        [ModelId.LL, 2, 1],
+        [ModelId.MO, 1, 2],
+        [ModelId.GO, 3, 3],
+    ]
+
+
+def test_write_json_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "n.json"
+    write_json(path, {"rss": float("nan"), "params": (1.5, float("inf")), "r2": 0.5})
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+    assert doc == {"rss": None, "params": [1.5, None], "r2": 0.5}

@@ -181,6 +181,30 @@ def test_dunn_tie_correction_hand_value():
     assert_allclose(p[0, 1], expected, rtol=1e-10)
 
 
+def test_dunn_matches_scipy_normal_tail():
+    """Dunn's z recomputed from scipy's average ranks, with its p from
+    scipy's normal survival function; rounding the draws makes ties."""
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        sizes = [int(n) for n in rng.integers(2, 12, size=3)]
+        groups = [np.round(rng.normal(0.5 * i, 1.0, n), 1) for i, n in enumerate(sizes)]
+        pooled = np.concatenate(groups)
+        ranks = stats.rankdata(pooled)
+        n_total = pooled.size
+        _, ties = np.unique(pooled, return_counts=True)
+        base_var = n_total * (n_total + 1) / 12.0 - np.sum(ties**3 - ties) / (12.0 * (n_total - 1))
+        ends = np.cumsum([0] + sizes)
+        mean_ranks = [ranks[lo:hi].mean() for lo, hi in zip(ends, ends[1:])]
+        p = dunn_posthoc(groups)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            z = (mean_ranks[i] - mean_ranks[j]) / math.sqrt(
+                base_var * (1.0 / sizes[i] + 1.0 / sizes[j])
+            )
+            expected = min(1.0, 2.0 * stats.norm.sf(abs(z)) * 3)
+            assert_allclose(p[i, j], expected, rtol=1e-12)
+
+
 def test_dunn_identical_groups_p_capped_at_one():
     p = dunn_posthoc([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
     assert np.all(p <= 1.0)
