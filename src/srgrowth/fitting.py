@@ -6,6 +6,13 @@ point, then a Levenberg-Marquardt loop with the analytic Jacobian polishes it
 to a least-squares optimum, projecting every step back into the parameter
 bounds.  Non-convergence is recorded on the result, never raised.
 
+The search screens each chunk of draws on at most 8 fixed time points and
+scores in full only the draws whose partial RSS does not exceed the best
+full RSS seen so far.  A partial RSS is a sum over a subset of the same
+nonnegative squared residuals, so a screened-out draw's full RSS is larger
+than a draw already scored and the search returns exactly the draw an
+exhaustive scoring would.
+
 Goodness of fit is summarised four ways per fit:
 
 * ``r_squared``   1 - SS_res / SS_tot
@@ -36,6 +43,8 @@ from .series import FailureSeries
 RSS_FLOOR = 1e-12
 
 _SEARCH_CHUNK = 4096
+_SEARCH_ELEMENTS = 1 << 20  # cap on candidates x points per chunk
+_SCREEN_POINTS = 8
 _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e12
 _FD_STEP = 1e-6
@@ -145,6 +154,23 @@ def _model_rng(cfg: FitConfig, model: ModelId) -> np.random.Generator:
     return np.random.default_rng([seed, MODEL_ORDER.index(model)])
 
 
+def _screen(kernel, candidates, t, y, t_sel, y_sel, best_rss, slack) -> np.ndarray:
+    # Partial RSS over the screen points bounds each candidate's full RSS
+    # from below (up to summation rounding, which ``slack`` covers), so a
+    # candidate whose partial RSS already exceeds the best full RSS in sight
+    # cannot be the first minimum.  A non-finite partial RSS means a
+    # non-finite full RSS, which never wins either.
+    r = kernel(candidates, t_sel) - y_sel
+    partial = np.einsum("ij,ij->i", r, r)
+    finite = np.isfinite(partial)
+    lead = int(np.argmin(np.where(finite, partial, math.inf)))
+    r = kernel(candidates[lead : lead + 1], t) - y
+    lead_rss = float(np.einsum("ij,ij->i", r, r)[0])
+    if math.isfinite(lead_rss):
+        best_rss = min(best_rss, lead_rss)
+    return candidates[finite & (partial <= best_rss * slack)]
+
+
 def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) -> np.ndarray:
     """Best of ``cfg.search_budget`` log-uniform parameter draws by RSS."""
     mid = ModelId(model)
@@ -153,18 +179,29 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
     log_lo = np.log(lo)
     log_span = np.log(hi) - log_lo
     k = lo.size
+    n = series.n
     t = series.times
     y = series.cumulative
     kernel = _KERNELS[mid]
     rng = _model_rng(cfg, mid)
+    chunk = max(1, min(_SEARCH_CHUNK, _SEARCH_ELEMENTS // n))
+    screened = n > _SCREEN_POINTS
+    if screened:
+        sel = np.unique(np.round(np.linspace(0, n - 1, _SCREEN_POINTS)).astype(np.intp))
+        t_sel, y_sel = t[sel], y[sel]
+        slack = 1.0 + 4.0 * n * np.finfo(float).eps
 
     best_rss = math.inf
     best: np.ndarray | None = None
     remaining = cfg.search_budget
     while remaining > 0:
-        batch = min(_SEARCH_CHUNK, remaining)
+        batch = min(chunk, remaining)
         remaining -= batch
         candidates = np.exp(log_lo + rng.random((batch, k)) * log_span)
+        if screened:
+            candidates = _screen(kernel, candidates, t, y, t_sel, y_sel, best_rss, slack)
+            if candidates.shape[0] == 0:
+                continue
         residuals = kernel(candidates, t) - y
         rss = np.einsum("ij,ij->i", residuals, residuals)
         rss = np.where(np.isfinite(rss), rss, math.inf)
@@ -172,7 +209,7 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
         if rss[idx] < best_rss:
             best_rss = float(rss[idx])
             best = candidates[idx].copy()
-    if best is None:  # pragma: no cover - budget >= 1 guarantees a candidate
+    if best is None:  # every draw overflowed (DU, say, at budget 1)
         raise NumericError("initial search produced no finite candidate")
     return best
 

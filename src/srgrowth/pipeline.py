@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-import requests
 
 from .errors import (
     EmptySeriesError,
@@ -254,6 +253,8 @@ def fetch_issues(
     unexpected statuses.  ``session`` and ``sleep`` are injectable for
     testing.
     """
+    import requests  # only fetching needs it; keep the CLI's start-up light
+
     if session is None:
         session = requests.Session()
     headers = {"Accept": "application/vnd.github+json"}

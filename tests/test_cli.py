@@ -3,11 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
+import srgrowth
 from srgrowth.cli import main
 from srgrowth.reporting import read_json
 
@@ -326,3 +330,11 @@ def test_version_flag():
 def test_no_verb_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out.lower()
+
+
+def test_cli_import_leaves_requests_unloaded():
+    """Only fetching needs requests, so starting the CLI must not load it."""
+    src = str(Path(srgrowth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, srgrowth.cli; assert 'requests' not in sys.modules, 'requests loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

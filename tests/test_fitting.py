@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from srgrowth.errors import InsufficientDataError
+from srgrowth import fitting
+from srgrowth.errors import InsufficientDataError, NumericError
 from srgrowth.fitting import (
     FitConfig,
     FitResult,
@@ -17,6 +20,7 @@ from srgrowth.fitting import (
     refine,
 )
 from srgrowth.models import (
+    _KERNELS,
     MODEL_ORDER,
     ModelId,
     descriptor,
@@ -89,6 +93,80 @@ def test_initial_search_beats_random_probes():
     for _ in range(50):
         probe = np.exp(probe_rng.uniform(np.log(lo), np.log(hi)))
         assert best_rss <= rss_of(ModelId.GOS, probe, series) + 1e-9
+
+
+def brute_search(model, series, cfg):
+    """Reference search: score every draw in full, chunk by chunk, keeping
+    the first minimum; the same draws as ``initial_search``.  None when no
+    draw has a finite RSS."""
+    lo, hi = search_bounds(model, series.n)
+    log_lo = np.log(lo)
+    log_span = np.log(hi) - log_lo
+    kernel = _KERNELS[ModelId(model)]
+    rng = np.random.default_rng([cfg.rng_seed, MODEL_ORDER.index(ModelId(model))])
+    best_rss, best = math.inf, None
+    remaining = cfg.search_budget
+    while remaining > 0:
+        batch = min(4096, remaining)
+        remaining -= batch
+        candidates = np.exp(log_lo + rng.random((batch, lo.size)) * log_span)
+        residuals = kernel(candidates, series.times) - series.cumulative
+        rss = np.einsum("ij,ij->i", residuals, residuals)
+        rss = np.where(np.isfinite(rss), rss, math.inf)
+        idx = int(np.argmin(rss))
+        if rss[idx] < best_rss:
+            best_rss, best = float(rss[idx]), candidates[idx].copy()
+    return best
+
+
+@st.composite
+def search_cases(draw):
+    n = draw(st.integers(2, 400))
+    low = draw(st.floats(-4.0, 2.0))
+    high = low + draw(st.floats(0.0, 6.0))
+    log_t = np.sort(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(low, high, n))
+    times = np.exp(log_t)
+    counts = None
+    if draw(st.booleans()):
+        scale = draw(st.floats(0.01, 100.0))
+        counts = scale * np.cumsum(np.exp(log_t - log_t.mean()))
+    series = FailureSeries(times=times, horizon=float(times[-1]), counts=counts)
+    budget = draw(st.sampled_from([1, 2, 50, 4096, 4097, 5000]))
+    return series, FitConfig(search_budget=budget, rng_seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("model", MODEL_ORDER)
+@settings(max_examples=25, deadline=None)
+@given(case=search_cases())
+def test_initial_search_equals_brute_force(model, case):
+    """Screening draws on a few points never changes the chosen draw."""
+    series, cfg = case
+    if series.n < descriptor(model).k + 1:
+        return
+    expected = brute_search(model, series, cfg)
+    if expected is None:  # every draw overflowed
+        with pytest.raises(NumericError):
+            initial_search(model, series, cfg)
+    else:
+        assert np.array_equal(initial_search(model, series, cfg), expected)
+
+
+def test_search_chunks_stay_under_the_element_cap(monkeypatch):
+    t = np.linspace(0.05, 1000.0, 20_000)
+    series = FailureSeries(times=t, horizon=1000.0, label="long")
+    cfg = FitConfig(search_budget=300, rng_seed=4)
+    expected = brute_search(ModelId.WE, series, cfg)
+    kernel = fitting._KERNELS[ModelId.WE]
+    sizes = []
+
+    def recording(candidates, times, jac=False):
+        sizes.append(candidates.shape[0] * times.size)
+        return kernel(candidates, times, jac=jac)
+
+    monkeypatch.setitem(fitting._KERNELS, ModelId.WE, recording)
+    start = initial_search(ModelId.WE, series, cfg)
+    assert sizes and max(sizes) <= fitting._SEARCH_ELEMENTS
+    assert np.array_equal(start, expected)
 
 
 def test_refine_at_optimum_stays_put():
