@@ -218,7 +218,8 @@ def cmd_ingest(args) -> int:
             records, skipped = fetch_issues(slug, auth_token=token), []
 
         matched = filter_defects(records, exclusions=frozenset(), include_title=args.title_match)
-        kept = filter_defects(records, include_title=args.title_match)
+        # every kept record matches, so filtering the matches drops exactly the exclusions
+        kept = filter_defects(matched, include_title=args.title_match)
         target = out / f"{stem}.ndjson"
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
             for record in kept:
@@ -528,7 +529,7 @@ def cmd_compare(args) -> int:
     comparison_rows = []
     dunn_rows = []
     summary_rows = []
-    report_comparisons = []
+    records = []
     for segment in segment_names:
         rows = [(label, r) for seg, label, r in pooled if seg == segment]
         by_model: dict[ModelId, list[float]] = {}
@@ -550,24 +551,10 @@ def cmd_compare(args) -> int:
                 "comparison needs more series than models"
             )
         comparison = compare_groups([m.value for m in models], groups)
-        comparison_rows.append(
-            {
-                "segment": segment,
-                "metric": metric,
-                "k": len(models),
-                "n": n_total,
-                "H": comparison.H,
-                "df": comparison.df,
-                "p_value": comparison.p_value,
-                "eta_squared": comparison.eta_squared.value,
-                "effect": comparison.eta_squared.label,
-            }
-        )
-        for i in range(len(models)):
-            for j in range(i + 1, len(models)):
-                dunn_rows.append(
-                    (segment, models[i].value, models[j].value, float(comparison.dunn[i, j]))
-                )
+        record = comparison_to_dict(segment, metric, comparison)
+        records.append(record)
+        comparison_rows.append({**record, "k": len(models), "n": n_total})
+        dunn_rows.extend({"segment": segment, **pair} for pair in record["dunn"])
         for model in models:
             row = {"segment": segment, "model": model.value, "n": len(by_model[model])}
             model_results = [r for _, r in rows if r.model == model]
@@ -582,7 +569,6 @@ def cmd_compare(args) -> int:
                     float(np.std(values, ddof=1)) if len(values) >= 2 else None
                 )
             summary_rows.append(row)
-        report_comparisons.append(comparison_to_dict(segment, metric, comparison))
 
     write_csv(out / "comparison.csv", COMPARISON_COLUMNS, comparison_rows)
     write_csv(out / "dunn.csv", DUNN_COLUMNS, dunn_rows)
@@ -592,9 +578,9 @@ def cmd_compare(args) -> int:
     meta.update({"metric": metric, "effect_legend": EFFECT_LEGEND, "segments": segment_names})
     write_json(out / "run_metadata.json", meta)
     if "json" in formats:
-        write_json(out / "report.json", {"metadata": meta, "comparisons": report_comparisons})
+        write_json(out / "report.json", {"metadata": meta, "comparisons": records})
 
-    for row in comparison_rows:
+    for row in records:
         print(
             f"{row['segment']}: H={row['H']:.6f} df={row['df']} p={row['p_value']:.6g} "
             f"eta2={row['eta_squared']:.6f} ({row['effect']})"

@@ -15,6 +15,7 @@ import csv
 import json
 import re
 import time as _time
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -413,14 +414,18 @@ def segment_releases(
             raise ValueError(
                 f"release windows {before.name!r} and {after.name!r} overlap"
             )
+    records = sorted(issues, key=lambda r: (r.created_at, r.id))
+    created = [r.created_at for r in records]
     series = []
     dropped = []
     for window in ordered:
-        count = sum(1 for r in issues if window.start <= r.created_at < window.end)
+        # the records in [start, end) are one slice of the sorted list
+        lo, hi = bisect_left(created, window.start), bisect_left(created, window.end)
+        count = hi - lo
         if count < min_faults or count == 0:
             dropped.append((window.name, count))
             continue
-        series.append(build_series(issues, window))
+        series.append(build_series(records[lo:hi], window))
     return SegmentationResult(series=series, dropped=dropped)
 
 

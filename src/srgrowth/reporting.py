@@ -193,17 +193,12 @@ def read_segments_csv(path: Path) -> dict[str, str]:
 
 
 def comparison_to_dict(segment: str, metric: str, comparison: GroupComparison) -> dict:
-    dunn_rows = []
     labels = comparison.group_labels
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            dunn_rows.append(
-                {
-                    "model_a": labels[i],
-                    "model_b": labels[j],
-                    "p_adj": float(comparison.dunn[i, j]),
-                }
-            )
+    dunn_rows = [
+        {"model_a": labels[i], "model_b": labels[j], "p_adj": float(comparison.dunn[i, j])}
+        for i in range(len(labels))
+        for j in range(i + 1, len(labels))
+    ]
     return {
         "segment": segment,
         "metric": metric,

@@ -9,8 +9,8 @@ The module answers three questions about fitted results:
   total-agreement percentage over rank ties across segments).
 
 Everything here is exact arithmetic over small samples; chi-square tail
-probabilities come from the in-repo incomplete gamma routines in
-:mod:`srgrowth.special`, normal tails from ``math.erfc``.
+probabilities come from the closed form for integer degrees of freedom
+(Abramowitz & Stegun 26.4.4-26.4.5), normal tails from ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import InsufficientDataError, SegmentCoverageError
 from .fitting import FitResult
 from .models import MODEL_ORDER, ModelId
 from .series import FailureSeries
-from .special import chi2_sf
 
 LAPLACE_CRITICAL = 1.96
 
@@ -99,6 +98,38 @@ def laplace_factor(series: FailureSeries) -> TrendResult:
     return TrendResult(u=u, n=n, horizon=horizon, growth_significant=u < -LAPLACE_CRITICAL)
 
 
+def chi2_sf(x: float, df: int) -> float:
+    """Chi-square survival function P(X > x) for an integer ``df`` >= 1.
+
+    With h = x/2 the tail is a finite sum (Abramowitz & Stegun 26.4.4-5):
+    e^-h * sum_{i<df/2} h^i/i! for even df, and for odd df
+    erfc(sqrt h) + e^-h * sum_{i=1}^{(df-1)/2} h^(i-1/2)/Gamma(i+1/2).
+    Each term is the previous one times h/(i+...), starting from e^-h, so
+    nothing overflows.  Past x = 1416.79, e^-h is no longer a normal float
+    and the result keeps only its absolute accuracy; for df <= 8 the tail
+    there is below 2e-300.
+    """
+    if not (df >= 1 and float(df).is_integer()):
+        raise ValueError(f"chi2_sf needs an integer df >= 1, got {df}")
+    if x <= 0.0:
+        return 1.0
+    if not math.isfinite(x):
+        raise ValueError(f"chi2_sf needs a finite x, got {x}")
+    h, df = x / 2.0, int(df)
+    if df % 2 == 0:
+        term = total = math.exp(-h)
+        for i in range(1, df // 2):
+            term *= h / i
+            total += term
+    else:
+        total = math.erfc(math.sqrt(h))
+        term = 2.0 * math.exp(-h) * math.sqrt(h / math.pi)
+        for i in range(1, df // 2 + 1):
+            total += term
+            term *= h / (i + 0.5)
+    return min(total, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # rank machinery shared by Kruskal-Wallis and Dunn
 # ---------------------------------------------------------------------------
@@ -108,20 +139,14 @@ def _pooled_ranks(groups: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
     """Average ranks of the pooled sample and the tie parameter sum(t^3 - t)."""
     pooled = np.concatenate(groups)
     order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty(pooled.size, dtype=float)
     sorted_vals = pooled[order]
-    tie_sum = 0.0
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        run = j - i + 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        if run > 1:
-            tie_sum += run**3 - run
-        i = j + 1
-    return ranks, tie_sum
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    runs = np.diff(np.r_[starts, pooled.size])
+    ranks = np.empty(pooled.size, dtype=float)
+    # a run of equal values at sorted positions start..start+run-1 shares
+    # the average of the 1-based ranks start+1..start+run
+    ranks[order] = np.repeat(starts + (runs + 1) / 2.0, runs)
+    return ranks, float(np.sum(runs.astype(float) ** 3 - runs))  # no int64 wrap-around
 
 
 def _validate_groups(groups) -> list[np.ndarray]:

@@ -41,7 +41,7 @@ from srgrowth.pipeline import (
     segment_releases,
 )
 from srgrowth.series import FailureSeries
-from srgrowth.special import chi2_sf
+from srgrowth.stats import chi2_sf
 from srgrowth.stats import dunn_posthoc, eta_squared, kruskal_wallis, laplace_factor
 
 UTC = timezone.utc

@@ -1,5 +1,6 @@
 # Command-line interface: verbs, outputs, exit codes, reproducibility.
 
+import csv
 import hashlib
 import json
 import math
@@ -80,6 +81,31 @@ def test_ingest_writes_ndjson_and_summary(tmp_path, capsys):
     assert stats["excluded"] == 5
     assert stats["kept"] == 25
     assert "25" in capsys.readouterr().out
+
+
+def test_ingest_title_match_summary(tmp_path):
+    """With --title-match a title-only match counts as matched, and a
+    duplicate label still excludes it."""
+    raw = tmp_path / "raw.json"
+    cases = [
+        (["bug"], "crash on start"),              # label match, kept
+        (["bug", "duplicate"], "crash again"),    # label match, excluded
+        (["duplicate"], "save fails"),            # title-only match, excluded
+        ([], "error in the parser"),              # title-only match, kept
+        (["enhancement"], "dark mode"),           # no match
+    ]
+    raw.write_text(json.dumps([
+        {"id": i, "created_at": (T0 + timedelta(days=i)).isoformat(),
+         "labels": labels, "title": title}
+        for i, (labels, title) in enumerate(cases)
+    ]))
+    out = tmp_path / "out"
+    assert main(["ingest", "--issues", str(raw), "--title-match", "--out", str(out)]) == 0
+
+    stats = read_json(out / "summary.json")["inputs"]["raw"]
+    assert (stats["total"], stats["defect_matched"], stats["excluded"], stats["kept"]) == (5, 4, 2, 2)
+    kept = [json.loads(line)["id"] for line in (out / "raw.ndjson").read_text().splitlines()]
+    assert kept == [0, 3]
 
 
 def test_ingest_corrupt_json_exits_two(tmp_path, capsys):
@@ -287,6 +313,39 @@ def test_compare_pools_series_within_segment(tmp_path, two_projects, capsys):
     assert comparison.startswith("segment,")
     assert (cmp_out / "dunn.csv").exists()
     assert (cmp_out / "summary.csv").exists()
+
+
+def test_compare_csv_rows_mirror_report_json(tmp_path, two_projects):
+    a, b = two_projects
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--issues", str(a), str(b), "--budget", "300",
+                 "--out", str(fit_out)]) == 0
+    cmp_out = tmp_path / "cmp"
+    assert main(["compare", "--fits", str(fit_out), "--format", "csv,json",
+                 "--out", str(cmp_out)]) == 0
+    comparisons = read_json(cmp_out / "report.json")["comparisons"]
+
+    def read_rows(name):
+        with open(cmp_out / name, newline="", encoding="utf-8") as handle:
+            return list(csv.DictReader(handle))
+
+    def same_cell(cell, value):
+        return float(cell) == value if isinstance(value, float) else cell == str(value)
+
+    rows = read_rows("comparison.csv")
+    assert len(rows) == len(comparisons) >= 1
+    for row, entry in zip(rows, comparisons):
+        assert int(row["k"]) == len(entry["groups"])
+        assert int(row["n"]) == sum(len(v) for v in entry["groups"].values())
+        for column in row.keys() - {"k", "n"}:
+            assert same_cell(row[column], entry[column]), column
+
+    expected = [{"segment": c["segment"], **pair} for c in comparisons for pair in c["dunn"]]
+    dunn = read_rows("dunn.csv")
+    assert len(dunn) == len(expected) == 36
+    for row, entry in zip(dunn, expected):
+        assert row.keys() == entry.keys()
+        assert all(same_cell(row[column], entry[column]) for column in row)
 
 
 def test_compare_single_series_per_segment_exits_three(tmp_path, two_projects):

@@ -6,11 +6,15 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from srgrowth.errors import EmptySeriesError, ParseError
 from srgrowth.pipeline import (
     DEFAULT_MIN_FAULTS,
+    SECONDS_PER_DAY,
+    TIME_EPSILON,
     IssueRecord,
     ReleaseWindow,
     build_series,
@@ -332,6 +336,61 @@ def test_segment_releases_times_relative_to_window_start():
     (series,) = outcome.series
     assert_allclose(series.times[0], 0.25)
     assert series.horizon == 10.0
+
+
+@st.composite
+def issues_and_windows(draw):
+    """Shuffled issues on a coarse half-day grid, so timestamps repeat and
+    fall exactly on window bounds, and non-overlapping windows cut from
+    the same grid, some of them back to back."""
+    days = draw(st.lists(st.integers(0, 40), max_size=60))
+    ids = draw(st.permutations(range(len(days))))
+    issues = [issue(i, days=d / 2.0) for i, d in zip(ids, days)]
+    cuts = sorted(draw(st.sets(st.integers(-2, 42), min_size=2, max_size=8)))
+    windows = [
+        window(f"w{k}", lo / 2.0, hi / 2.0)
+        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+        if draw(st.booleans())
+    ]
+    return issues, draw(st.permutations(windows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=issues_and_windows(), min_faults=st.sampled_from([0, 1, 2, 5]))
+def test_segment_releases_matches_the_definition(case, min_faults):
+    issues, windows = case
+    outcome = segment_releases(issues, windows, min_faults=min_faults)
+
+    expected_series = []
+    expected_dropped = []
+    for w in sorted(windows, key=lambda w: w.start):
+        inside = sorted(
+            (r for r in issues if w.start <= r.created_at < w.end),
+            key=lambda r: (r.created_at, r.id),
+        )
+        if len(inside) < min_faults or not inside:
+            expected_dropped.append((w.name, len(inside)))
+            continue
+        times = [(r.created_at - w.start).total_seconds() / SECONDS_PER_DAY for r in inside]
+        horizon = (w.end - w.start).total_seconds() / SECONDS_PER_DAY
+        expected_series.append((w.name, horizon, [t or TIME_EPSILON for t in times]))
+
+    assert outcome.dropped == expected_dropped
+    assert [(s.label, s.horizon, s.times.tolist()) for s in outcome.series] == expected_series
+
+
+def test_segment_releases_bounds_and_equal_timestamps():
+    """A record exactly at a window's end opens the next window; records
+    sharing a timestamp are all counted."""
+    issues = [issue(3, days=5.0), issue(1, days=0.0), issue(2, days=5.0), issue(4, days=2.0)]
+    outcome = segment_releases(
+        issues, [window("b", 5, 9), window("a", 0, 5)], min_faults=1
+    )
+    assert [(s.label, s.times.tolist()) for s in outcome.series] == [
+        ("a", [TIME_EPSILON, 2.0]),
+        ("b", [TIME_EPSILON, TIME_EPSILON]),
+    ]
+    assert outcome.dropped == []
 
 
 # ---------------------------------------------------------------------------

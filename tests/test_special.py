@@ -1,49 +1,30 @@
-# Regularized incomplete gamma and chi-square tails, checked against
-# closed forms and independent implementations.
+# Chi-square tail probabilities (srgrowth.stats.chi2_sf), checked against
+# closed forms written out independently and against other implementations.
 #
 # Independent oracles:
 #   - chi-square survival closed forms: S(x, 2) = e^(-x/2) and, for even
 #     df = 2m, S(x, 2m) = e^(-x/2) * sum_{j<m} (x/2)^j / j! (Poisson sum);
 #     for df = 1, S(x, 1) = erfc(sqrt(x/2)) with math.erfc;
-#   - scipy.stats.chi2.sf, when scipy is installed.
+#   - scipy.stats.chi2.sf, when scipy is installed;
+#   - mpmath's regularized upper incomplete gamma at 40 digits, when mpmath
+#     is installed.
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from srgrowth.special import chi2_sf, reg_lower_gamma, reg_upper_gamma
+from srgrowth.stats import chi2_sf
 
 
 def chi2_sf_even_df(x, df):
     m = df // 2
     total = sum((x / 2.0) ** j / math.factorial(j) for j in range(m))
     return math.exp(-x / 2.0) * total
-
-
-def test_gamma_complementarity():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        a = float(rng.uniform(0.1, 30.0))
-        x = float(rng.uniform(0.0, 60.0))
-        p = reg_lower_gamma(a, x)
-        q = reg_upper_gamma(a, x)
-        assert 0.0 <= p <= 1.0
-        assert 0.0 <= q <= 1.0
-        assert_allclose(p + q, 1.0, rtol=0, atol=1e-12)
-
-
-def test_gamma_boundaries():
-    assert reg_lower_gamma(2.5, 0.0) == 0.0
-    assert reg_upper_gamma(2.5, 0.0) == 1.0
-    assert_allclose(reg_lower_gamma(1.0, 50.0), 1.0, rtol=0, atol=1e-15)
-
-
-def test_gamma_exponential_special_case():
-    """P(1, x) = 1 - e^(-x) exactly for the unit-shape case."""
-    for x in (0.1, 0.5, 1.0, 2.0, 5.0):
-        assert_allclose(reg_lower_gamma(1.0, x), 1.0 - math.exp(-x), rtol=1e-13)
 
 
 def test_chi2_sf_df1_matches_erfc_oracle():
@@ -84,3 +65,45 @@ def test_chi2_sf_matches_scipy():
     for df in (1, 2, 3, 4, 5, 8, 13, 30, 100):
         for x in (1e-3, 0.1, 0.5, 1.0, 2.0, 3.841, 7.5, 15.0, 30.0, 60.0, 150.0, 400.0):
             assert_allclose(chi2_sf(x, df), stats.chi2.sf(x, df), rtol=1e-10, atol=1e-300)
+
+
+def test_chi2_sf_matches_mpmath():
+    """df = k - 1 for up to nine models, so df 1..8, over x from 1e-6 to 1400."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for df in range(1, 9):
+            for x in np.geomspace(1e-6, 1400.0, 120):
+                x = float(x)
+                expected = mpmath.gammainc(df / 2, x / 2, mpmath.inf, regularized=True)
+                assert_allclose(chi2_sf(x, df), float(expected), rtol=1e-13, atol=0)
+
+
+# e^(-x/2) stays a normal float up to x = 1416.79; near 0 the sum can round
+# above 1
+xs = st.one_of(
+    st.floats(min_value=0.0, max_value=1e-3),
+    st.floats(min_value=0.0, max_value=1400.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(df=st.integers(min_value=1, max_value=30), x=xs, y=xs)
+def test_chi2_sf_is_a_probability_and_does_not_increase(df, x, y):
+    lo, hi = sorted((x, y))
+    p_lo, p_hi = chi2_sf(lo, df), chi2_sf(hi, df)
+    assert 0.0 <= p_hi <= 1.0 and 0.0 <= p_lo <= 1.0
+    # The closed form adds rising terms to a falling one, each addition
+    # rounding once, so where the tail is within a few ulps of 1 two nearby
+    # x can come out a few ulps the wrong way round; beyond that rounding
+    # it never rises.
+    assert p_hi <= p_lo * (1.0 + df * sys.float_info.epsilon)
+
+
+@given(df=st.one_of(
+    st.floats(min_value=-5.0, max_value=40.0, allow_nan=False).filter(
+        lambda v: not v.is_integer()),
+    st.integers(max_value=0),
+))
+def test_chi2_sf_rejects_non_integer_and_nonpositive_df(df):
+    with pytest.raises(ValueError):
+        chi2_sf(1.0, df)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from srgrowth.errors import InsufficientDataError, SegmentCoverageError
@@ -12,6 +14,7 @@ from srgrowth.models import MODEL_ORDER, ModelId
 from srgrowth.series import FailureSeries
 from srgrowth.stats import (
     RankingTable,
+    _pooled_ranks,
     compare_groups,
     dunn_posthoc,
     eta_squared,
@@ -141,6 +144,58 @@ def test_kruskal_wallis_guards():
         kruskal_wallis([[1.0], [2.0]])
     with pytest.raises(ValueError):
         kruskal_wallis([[1.0, float("nan")], [2.0, 3.0]])
+
+
+def loop_pooled_ranks(groups):
+    """The run-by-run loop that computed the average ranks and tie sum
+    before they were vectorised."""
+    pooled = np.concatenate(groups)
+    order = np.argsort(pooled, kind="mergesort")
+    ranks = np.empty(pooled.size, dtype=float)
+    sorted_vals = pooled[order]
+    tie_sum = 0.0
+    i = 0
+    while i < pooled.size:
+        j = i
+        while j + 1 < pooled.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        run = j - i + 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        if run > 1:
+            tie_sum += run**3 - run
+        i = j + 1
+    return ranks, tie_sum
+
+
+# few distinct values, so most samples carry long tie runs
+tied_groups = st.lists(
+    st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0, 1e300]), min_size=1, max_size=40),
+    min_size=2,
+    max_size=9,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups=tied_groups)
+def test_pooled_ranks_equal_the_loop_bitwise(groups):
+    arrays = [np.asarray(g, dtype=float) for g in groups]
+    ranks, tie_sum = _pooled_ranks(arrays)
+    expected_ranks, expected_tie_sum = loop_pooled_ranks(arrays)
+    assert ranks.tobytes() == expected_ranks.tobytes()
+    assert type(tie_sum) is float and tie_sum == expected_tie_sum
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups=tied_groups.filter(lambda gs: sum(map(len, gs)) >= 3), data=st.data())
+def test_kruskal_wallis_invariant_under_permuting_groups(groups, data):
+    permuted = data.draw(st.permutations(groups))
+    h, p = kruskal_wallis(groups)
+    h_perm, p_perm = kruskal_wallis(permuted)
+    # the per-group terms of H are the same numbers, summed in another order
+    assert h_perm == pytest.approx(h, rel=1e-12, abs=1e-12)
+    # with one degree of freedom p = erfc(sqrt(H/2)) has unbounded slope at
+    # H = 0, where a rounding-sized H moves p by about sqrt(H)
+    assert p_perm == pytest.approx(p, rel=1e-10, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
