@@ -62,6 +62,7 @@ from .reporting import (
     TREND_COLUMNS,
     base_metadata,
     comparison_to_dict,
+    gof_record,
     gof_row,
     ranking_rows,
     read_gof_csv,
@@ -96,10 +97,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AnalysisError as exc:
@@ -193,6 +191,17 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _ingest_sources(args):
+    """(stem, records, parse skip notes) per ``--issues`` file, then ``--repo``."""
+    for path in map(Path, args.issues):
+        parsed = parse_issues(path.read_bytes())
+        yield path.stem, parsed.records, parsed.skipped
+    if args.repo:
+        # --token first, then the first environment variable that is set
+        token = args.token or next(filter(None, map(os.environ.get, TOKEN_ENV_VARS)), None)
+        yield args.repo.replace("/", "_"), fetch_issues(args.repo, auth_token=token), []
+
+
 def cmd_ingest(args) -> int:
     formats = _parse_formats(args.format)
     out = _out_dir(args)
@@ -200,23 +209,7 @@ def cmd_ingest(args) -> int:
         raise ValueError("ingest needs --issues files or --repo")
 
     summary: dict[str, dict] = {}
-    sources: list[tuple[str, object]] = [(Path(p).stem, Path(p)) for p in args.issues]
-    if args.repo:
-        token = args.token
-        for env_var in TOKEN_ENV_VARS:
-            if token:
-                break
-            token = os.environ.get(env_var)
-        sources.append((args.repo.replace("/", "_"), (args.repo, token)))
-
-    for stem, source in sources:
-        if isinstance(source, Path):
-            parsed = parse_issues(source.read_bytes())
-            records, skipped = parsed.records, parsed.skipped
-        else:
-            slug, token = source
-            records, skipped = fetch_issues(slug, auth_token=token), []
-
+    for stem, records, skipped in _ingest_sources(args):
         matched = filter_defects(records, exclusions=frozenset(), include_title=args.title_match)
         # every kept record matches, so filtering the matches drops exactly the exclusions
         kept = filter_defects(matched, include_title=args.title_match)
@@ -408,7 +401,7 @@ def cmd_fit(args) -> int:
     curves_dir = out / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
 
-    fits = []
+    gof_records = []
     trend_rows = []
     series_meta = {}
     for s in fitted_series:
@@ -425,14 +418,14 @@ def cmd_fit(args) -> int:
             ["t", "observed", *(str(r.model) for r in results)],
             zip(s.times.tolist(), s.cumulative.tolist(), *curves),
         )
-        fits.extend((s.label, r) for r in results)
+        gof_records.extend(gof_record(s.label, r) for r in results)
         series_meta[s.label] = {
             "n": s.n,
             "segment": segments.get(s.label, "all"),
             "curve": f"curves/{slugs[s.label]}.csv",
         }
 
-    write_csv(out / "gof.csv", GOF_COLUMNS, (gof_row(label, r) for label, r in fits))
+    write_csv(out / "gof.csv", GOF_COLUMNS, map(gof_row, gof_records))
     write_csv(out / "trend.csv", TREND_COLUMNS, trend_rows)
     write_csv(out / "skipped.csv", SKIPPED_COLUMNS, skipped)
     if segments:
@@ -460,21 +453,7 @@ def cmd_fit(args) -> int:
             out / "report.json",
             {
                 "metadata": meta,
-                "gof": [
-                    {
-                        "series": label,
-                        "model": r.model.value,
-                        "params": list(r.params),
-                        "rss": r.rss,
-                        "r2": r.gof.r2,
-                        "aic": r.gof.aic,
-                        "bic": r.gof.bic,
-                        "rse": r.gof.rse,
-                        "converged": r.converged,
-                        "iterations_used": r.iterations_used,
-                    }
-                    for label, r in fits
-                ],
+                "gof": gof_records,
                 "trend": trend_rows,
                 "skipped": [dict(zip(SKIPPED_COLUMNS, row)) for row in skipped],
             },

@@ -42,6 +42,11 @@ from .series import FailureSeries
 
 RSS_FLOOR = 1e-12
 
+# refine's stopping rules; see its docstring
+REFINE_MAX_ITERATIONS = 1000
+REFINE_RSS_REL_TOL = 1e-10
+REFINE_STEP_TOL = 1e-12
+
 _SEARCH_CHUNK = 4096
 _SEARCH_ELEMENTS = 1 << 20  # cap on candidates x points per chunk
 _SCREEN_POINTS = 8
@@ -52,21 +57,18 @@ _FD_STEP = 1e-6
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the two-stage estimation."""
+    """Draws per model in the initial search and the seed of their stream.
+
+    Refinement has no settings here; its stopping rules are the module's
+    ``REFINE_*`` constants.
+    """
 
     search_budget: int = 100_000
     rng_seed: int = 0
-    max_refine_iterations: int = 1000
-    rss_rel_tol: float = 1e-10
-    step_tol: float = 1e-12
 
     def __post_init__(self):
         if self.search_budget < 1:
             raise ValueError("search_budget must be at least 1")
-        if self.max_refine_iterations < 1:
-            raise ValueError("max_refine_iterations must be at least 1")
-        if self.rss_rel_tol <= 0.0 or self.step_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -185,11 +187,11 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
     kernel = _KERNELS[mid]
     rng = _model_rng(cfg, mid)
     chunk = max(1, min(_SEARCH_CHUNK, _SEARCH_ELEMENTS // n))
-    screened = n > _SCREEN_POINTS
-    if screened:
-        sel = np.unique(np.round(np.linspace(0, n - 1, _SCREEN_POINTS)).astype(np.intp))
-        t_sel, y_sel = t[sel], y[sel]
-        slack = 1.0 + 4.0 * n * np.finfo(float).eps
+    # with n <= 8 points every point is a screen point, and the partial RSS
+    # is the full one
+    sel = np.unique(np.round(np.linspace(0, n - 1, _SCREEN_POINTS)).astype(np.intp))
+    t_sel, y_sel = t[sel], y[sel]
+    slack = 1.0 + 4.0 * n * np.finfo(float).eps
 
     best_rss = math.inf
     best: np.ndarray | None = None
@@ -198,10 +200,9 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
         batch = min(chunk, remaining)
         remaining -= batch
         candidates = np.exp(log_lo + rng.random((batch, k)) * log_span)
-        if screened:
-            candidates = _screen(kernel, candidates, t, y, t_sel, y_sel, best_rss, slack)
-            if candidates.shape[0] == 0:
-                continue
+        candidates = _screen(kernel, candidates, t, y, t_sel, y_sel, best_rss, slack)
+        if candidates.shape[0] == 0:
+            continue
         residuals = kernel(candidates, t) - y
         rss = np.einsum("ij,ij->i", residuals, residuals)
         rss = np.where(np.isfinite(rss), rss, math.inf)
@@ -242,15 +243,14 @@ def _clip_params(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(p, floor), hi)
 
 
-def refine(
-    model: ModelId | str, series: FailureSeries, init, cfg: FitConfig
-) -> FitResult:
+def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
     """Polish ``init`` by damped Gauss-Newton on the residual sum of squares.
 
     Accepted steps never increase the RSS.  Stops when the relative RSS
-    drop falls below ``cfg.rss_rel_tol``, when the step norm falls below
-    ``cfg.step_tol`` (both count as convergence), or at the iteration cap
-    or damping exhaustion (reported as ``converged=False``).
+    drop falls below ``REFINE_RSS_REL_TOL``, when the step norm falls below
+    ``REFINE_STEP_TOL`` (both count as convergence), or after
+    ``REFINE_MAX_ITERATIONS`` iterations or on damping exhaustion (reported
+    as ``converged=False``).
     """
     mid = ModelId(model)
     _require_enough_points(mid, series)
@@ -271,7 +271,7 @@ def refine(
     nu = 2.0
     converged = False
     iterations = 0
-    for _ in range(cfg.max_refine_iterations):
+    for _ in range(REFINE_MAX_ITERATIONS):
         iterations += 1
         jac = kernel(p, t, jac=True)
         if not np.all(np.isfinite(jac)):
@@ -321,12 +321,12 @@ def refine(
 
         rel_drop = (rss - rss_new) / max(rss, RSS_FLOOR)
         p, residuals, rss = p_new, residuals_new, rss_new
-        if float(np.linalg.norm(moved)) < cfg.step_tol:
+        if float(np.linalg.norm(moved)) < REFINE_STEP_TOL:
             converged = True
             break
         # Trust the RSS stop only for steps accepted without escalation;
         # heavily damped micro-steps say nothing about being at an optimum.
-        if rejections == 0 and rel_drop < cfg.rss_rel_tol:
+        if rejections == 0 and rel_drop < REFINE_RSS_REL_TOL:
             converged = True
             break
 
@@ -374,7 +374,7 @@ def _failure_result(model: ModelId, series: FailureSeries) -> FitResult:
 def fit_one(model: ModelId | str, series: FailureSeries, cfg: FitConfig) -> FitResult:
     """Initial search followed by refinement, as one call."""
     start = initial_search(model, series, cfg)
-    return refine(model, series, start, cfg)
+    return refine(model, series, start)
 
 
 def fit_all(

@@ -111,14 +111,25 @@ def write_csv(path: Path, columns: Sequence[str], rows: Iterable) -> None:
             writer.writerow([_cell(v) for v in values])
 
 
-def gof_row(label: str, result: FitResult) -> tuple:
-    """One gof.csv row: parameters in positional columns a, b, c."""
-    a, b, c = (*result.params, None, None)[:3]
-    gof = result.gof
-    return (
-        label, result.model, a, b, c, result.rss,
-        gof.r2, gof.aic, gof.bic, gof.rse, result.converged,
-    )
+def gof_record(label: str, result: FitResult) -> dict:
+    """A fit's gof entry in report.json; ``gof_row`` makes its gof.csv row."""
+    return {
+        "series": label,
+        "model": result.model.value,
+        "params": list(result.params),
+        "rss": result.rss,
+        "r2": result.gof.r2,
+        "aic": result.gof.aic,
+        "bic": result.gof.bic,
+        "rse": result.gof.rse,
+        "converged": result.converged,
+        "iterations_used": result.iterations_used,
+    }
+
+
+def gof_row(record: dict) -> dict:
+    """The gof.csv row of a ``gof_record``: its params in columns a, b, c."""
+    return {**record, **dict(zip("abc", (*record["params"], None, None)))}
 
 
 def trend_row(label: str, trend: TrendResult) -> dict:

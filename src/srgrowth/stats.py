@@ -16,7 +16,7 @@ probabilities come from the closed form for integer degrees of freedom
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -166,8 +166,11 @@ def _validate_groups(groups) -> list[np.ndarray]:
 def kruskal_wallis(groups: Sequence[Iterable[float]]) -> tuple[float, float]:
     """Kruskal-Wallis H and its chi-square p-value (df = k - 1).
 
-    Uses average ranks for ties and the standard tie correction.  When all
-    pooled values are identical the statistic degenerates to H = 0, p = 1.
+    H = 12/(N(N+1)) * sum n_i (mean rank_i - (N+1)/2)^2 over average ranks,
+    divided by the standard tie correction (Kruskal & Wallis, JASA 47(260),
+    1952).  A sum of squares, it is never negative and is exactly 0 when
+    every group's mean rank is the pooled one.  When all pooled values are
+    identical the statistic degenerates to H = 0, p = 1.
     """
     arrays = _validate_groups(groups)
     ranks, tie_sum = _pooled_ranks(arrays)
@@ -175,13 +178,14 @@ def kruskal_wallis(groups: Sequence[Iterable[float]]) -> tuple[float, float]:
     correction = 1.0 - tie_sum / (n_total**3 - n_total)
     if correction == 0.0:
         return 0.0, 1.0
-    h = -3.0 * (n_total + 1.0)
+    centre = (n_total + 1.0) / 2.0
+    spread = 0.0
     offset = 0
     for g in arrays:
-        rank_sum = float(ranks[offset : offset + g.size].sum())
-        h += 12.0 / (n_total * (n_total + 1.0)) * rank_sum**2 / g.size
+        mean_rank = float(ranks[offset : offset + g.size].mean())
+        spread += g.size * (mean_rank - centre) ** 2
         offset += g.size
-    h = max(h / correction, 0.0)
+    h = 12.0 / (n_total * (n_total + 1.0)) * spread / correction
     return h, chi2_sf(h, len(arrays) - 1)
 
 
@@ -322,13 +326,7 @@ def rank_models(
         segments=segments, models=models, metric=metric, ranks=ranks, ira_percent=None
     )
     if len(segments) >= 2:
-        table = RankingTable(
-            segments=segments,
-            models=models,
-            metric=metric,
-            ranks=ranks,
-            ira_percent=inter_rater_agreement(table),
-        )
+        table = replace(table, ira_percent=inter_rater_agreement(table))
     return table
 
 

@@ -124,6 +124,45 @@ def test_ingest_needs_some_source(tmp_path):
     assert main(["ingest", "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, srgrowth_token, github_token, expected",
+    [
+        ("flag", "env1", "env2", "flag"),
+        (None, "env1", "env2", "env1"),
+        (None, "", "env2", "env2"),
+        (None, None, None, None),
+    ],
+)
+def test_ingest_repo_token_precedence(
+    tmp_path, monkeypatch, capsys, flag, srgrowth_token, github_token, expected
+):
+    for name, value in (("SRGROWTH_TOKEN", srgrowth_token), ("GITHUB_TOKEN", github_token)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    fetched = srgrowth.parse_issues(write_issues(tmp_path / "remote.json", 12).read_bytes()).records
+    calls = []
+
+    def fake_fetch(slug, auth_token=None):
+        calls.append((slug, auth_token))
+        return fetched
+
+    monkeypatch.setattr("srgrowth.cli.fetch_issues", fake_fetch)
+    local = write_issues(tmp_path / "local.json", 5)
+    out = tmp_path / "out"
+    argv = ["ingest", "--issues", str(local), "--repo", "owner/name", "--out", str(out)]
+    assert main(argv + (["--token", flag] if flag else [])) == 0
+
+    assert calls == [("owner/name", expected)]
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == ["local", "owner_name"]  # files first
+    stats = read_json(out / "summary.json")["inputs"]["owner_name"]
+    assert stats["parse_skipped"] == 0 and stats["parse_skip_notes"] == []
+    assert stats["total"] == stats["kept"] == 12 and stats["output"] == "owner_name.ndjson"
+    assert len((out / "owner_name.ndjson").read_text().splitlines()) == 12
+
+
 def test_trend_outputs(tmp_path, two_projects, capsys):
     a, b = two_projects
     out = tmp_path / "trend"
@@ -315,6 +354,15 @@ def test_compare_pools_series_within_segment(tmp_path, two_projects, capsys):
     assert (cmp_out / "summary.csv").exists()
 
 
+def same_cell(cell, value):
+    """Whether a CSV cell holds the report.json value ``value``."""
+    if value is None:
+        return cell == ""
+    if isinstance(value, bool):
+        return cell == ("true" if value else "false")
+    return float(cell) == value if isinstance(value, float) else cell == str(value)
+
+
 def test_compare_csv_rows_mirror_report_json(tmp_path, two_projects):
     a, b = two_projects
     fit_out = tmp_path / "fit"
@@ -328,9 +376,6 @@ def test_compare_csv_rows_mirror_report_json(tmp_path, two_projects):
     def read_rows(name):
         with open(cmp_out / name, newline="", encoding="utf-8") as handle:
             return list(csv.DictReader(handle))
-
-    def same_cell(cell, value):
-        return float(cell) == value if isinstance(value, float) else cell == str(value)
 
     rows = read_rows("comparison.csv")
     assert len(rows) == len(comparisons) >= 1
@@ -346,6 +391,25 @@ def test_compare_csv_rows_mirror_report_json(tmp_path, two_projects):
     for row, entry in zip(dunn, expected):
         assert row.keys() == entry.keys()
         assert all(same_cell(row[column], entry[column]) for column in row)
+
+
+def test_fit_gof_csv_rows_mirror_report_json(tmp_path, two_projects):
+    a, b = two_projects
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--issues", str(a), str(b), "--budget", "300",
+                 "--format", "csv,json", "--out", str(fit_out)]) == 0
+    entries = read_json(fit_out / "report.json")["gof"]
+    with open(fit_out / "gof.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+
+    assert len(rows) == len(entries) == 2 * 9
+    for row, entry in zip(rows, entries):
+        params = entry["params"]
+        assert len(params) in (2, 3)
+        expected = {**entry, **dict(zip("abc", (*params, None, None)))}
+        assert row.keys() <= expected.keys()
+        for column in row:
+            assert same_cell(row[column], expected[column]), column
 
 
 def test_compare_single_series_per_segment_exits_three(tmp_path, two_projects):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -45,10 +45,6 @@ def rss_of(model, params, series):
 def test_config_validation():
     with pytest.raises(ValueError):
         FitConfig(search_budget=0)
-    with pytest.raises(ValueError):
-        FitConfig(max_refine_iterations=-1)
-    with pytest.raises(ValueError):
-        FitConfig(rss_rel_tol=-1e-9)
 
 
 def test_initial_search_is_deterministic():
@@ -135,13 +131,25 @@ def search_cases(draw):
     return series, FitConfig(search_budget=budget, rng_seed=draw(st.integers(0, 2**32 - 1)))
 
 
+def few_point_case(n):
+    """n points, so the 8 screen points are all of them for n <= 8."""
+    times = np.geomspace(0.5, 40.0, n)
+    return FailureSeries(times=times, horizon=40.0), FitConfig(search_budget=5000, rng_seed=n)
+
+
 @pytest.mark.parametrize("model", MODEL_ORDER)
 @settings(max_examples=25, deadline=None)
 @given(case=search_cases())
+@example(case=few_point_case(2))
+@example(case=few_point_case(3))
+@example(case=few_point_case(8))
+@example(case=few_point_case(9))
 def test_initial_search_equals_brute_force(model, case):
     """Screening draws on a few points never changes the chosen draw."""
     series, cfg = case
     if series.n < descriptor(model).k + 1:
+        with pytest.raises(InsufficientDataError):
+            initial_search(model, series, cfg)
         return
     expected = brute_search(model, series, cfg)
     if expected is None:  # every draw overflowed
@@ -172,23 +180,22 @@ def test_search_chunks_stay_under_the_element_cap(monkeypatch):
 def test_refine_at_optimum_stays_put():
     truth = (300.0, 0.05)
     series = synthetic_series(ModelId.GO, truth)
-    cfg = FitConfig()
-    result = refine(ModelId.GO, series, np.array(truth), cfg)
+    result = refine(ModelId.GO, series, np.array(truth))
     assert result.converged
     assert result.iterations_used <= 2
     assert_allclose(result.params, truth, rtol=1e-9)
     assert result.rss < 1e-16
 
 
-def test_refine_never_worsens_the_start():
+def test_refine_never_worsens_the_start(monkeypatch):
+    monkeypatch.setattr(fitting, "REFINE_MAX_ITERATIONS", 60)
     rng = np.random.default_rng(31)
     series = synthetic_series(ModelId.WE, (220.0, 0.015, 1.4))
     lo, hi = search_bounds(ModelId.WE, series.n)
-    cfg = FitConfig(max_refine_iterations=60)
     for _ in range(20):
         start = np.exp(rng.uniform(np.log(lo), np.log(hi)))
         start_rss = rss_of(ModelId.WE, start, series)
-        result = refine(ModelId.WE, series, start, cfg)
+        result = refine(ModelId.WE, series, start)
         assert result.rss <= start_rss + 1e-9
 
 
@@ -230,7 +237,7 @@ def test_fit_one_equals_search_plus_refine():
     cfg = FitConfig(search_budget=3000, rng_seed=17)
     combined = fit_one(ModelId.GOS, series, cfg)
     start = initial_search(ModelId.GOS, series, cfg)
-    split = refine(ModelId.GOS, series, start, cfg)
+    split = refine(ModelId.GOS, series, start)
     assert combined.params == split.params
     assert combined.rss == split.rss
     assert combined.iterations_used == split.iterations_used

@@ -14,6 +14,7 @@ from srgrowth.reporting import (
     TREND_COLUMNS,
     base_metadata,
     fmt_float,
+    gof_record,
     gof_row,
     ranking_rows,
     read_gof_csv,
@@ -50,7 +51,7 @@ def test_fmt_float_special_values():
 
 
 def write_gof(path, pairs):
-    write_csv(path, GOF_COLUMNS, [gof_row(label, result) for label, result in pairs])
+    write_csv(path, GOF_COLUMNS, [gof_row(gof_record(label, result)) for label, result in pairs])
 
 
 def csv_lines(path):

@@ -193,9 +193,15 @@ def test_kruskal_wallis_invariant_under_permuting_groups(groups, data):
     h_perm, p_perm = kruskal_wallis(permuted)
     # the per-group terms of H are the same numbers, summed in another order
     assert h_perm == pytest.approx(h, rel=1e-12, abs=1e-12)
-    # with one degree of freedom p = erfc(sqrt(H/2)) has unbounded slope at
-    # H = 0, where a rounding-sized H moves p by about sqrt(H)
-    assert p_perm == pytest.approx(p, rel=1e-10, abs=1e-6)
+    assert p_perm == pytest.approx(p, rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "groups", [[[0, 0, 0, 0, 1, 1, 1, 1], [0.5]], [[0.5], [0, 0, 0, 0, 1, 1, 1, 1]]]
+)
+def test_kruskal_wallis_equal_mean_ranks_give_exactly_zero(groups):
+    """Both groups' mean rank is the pooled (N+1)/2 = 5, so H is 0 exactly."""
+    assert kruskal_wallis(groups) == (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
