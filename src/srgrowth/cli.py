@@ -471,23 +471,33 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_fit_dir(path: Path) -> tuple[list[tuple[str, object]], dict[str, str]]:
-    gof_path = path / "gof.csv"
-    if not gof_path.exists():
-        raise ValueError(f"{path} is not a fit output directory (no gof.csv)")
-    n_by_series: dict[str, int] = {}
-    segment_by_series: dict[str, str] = {}
-    meta_path = path / "run_metadata.json"
-    if meta_path.exists():
-        meta = read_json(meta_path)
-        for label, info in meta.get("series", {}).items():
-            n_by_series[label] = int(info.get("n", 0))
-            segment_by_series[label] = str(info.get("segment", "all"))
-    segments_path = path / "segments.csv"
-    if segments_path.exists():
-        segment_by_series.update(read_segments_csv(segments_path))
-    rows = read_gof_csv(gof_path, n_by_series)
-    return rows, segment_by_series
+def _load_fits(dirs) -> dict[str, list]:
+    """Fit results of ``(path, label, fallback)`` directories by segment.
+
+    Each series of ``path`` goes to ``label`` when one is given, else to the
+    segment its directory records for it, else to ``fallback``.  Segments
+    and their results keep the order in which they are first read.
+    """
+    groups: dict[str, list] = {}
+    for path, label, fallback in dirs:
+        gof_path = path / "gof.csv"
+        if not gof_path.exists():
+            raise ValueError(f"{path} is not a fit output directory (no gof.csv)")
+        n_by_series: dict[str, int] = {}
+        recorded: dict[str, str] = {}
+        meta_path = path / "run_metadata.json"
+        if meta_path.exists():
+            meta = read_json(meta_path)
+            for series, info in meta.get("series", {}).items():
+                n_by_series[series] = int(info.get("n", 0))
+                recorded[series] = str(info.get("segment", "all"))
+        segments_path = path / "segments.csv"
+        if segments_path.exists():
+            recorded.update(read_segments_csv(segments_path))
+        for series, result in read_gof_csv(gof_path, n_by_series):
+            segment = label or recorded.get(series) or fallback
+            groups.setdefault(segment, []).append(result)
+    return groups
 
 
 def cmd_compare(args) -> int:
@@ -495,24 +505,19 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     metric = args.metric
 
-    pooled: list[tuple[str, str, object]] = []
-    for fits in args.fits:
-        rows, segment_by_series = _read_fit_dir(Path(fits))
-        for label, result in rows:
-            segment = segment_by_series.get(label, "all")
-            pooled.append((segment, label, result))
-    if not pooled:
+    by_segment = _load_fits((Path(fits), None, "all") for fits in args.fits)
+    if not by_segment:
         raise InsufficientDataError("fit outputs contain no results")
 
-    segment_names = sorted({segment for segment, _, _ in pooled})
+    segment_names = sorted(by_segment)
     comparison_rows = []
     dunn_rows = []
     summary_rows = []
     records = []
     for segment in segment_names:
-        rows = [(label, r) for seg, label, r in pooled if seg == segment]
+        results = by_segment[segment]
         by_model: dict[ModelId, list[float]] = {}
-        for _, result in rows:
+        for result in results:
             value = getattr(result.gof, metric)
             if math.isfinite(value):
                 by_model.setdefault(result.model, []).append(value)
@@ -536,7 +541,7 @@ def cmd_compare(args) -> int:
         dunn_rows.extend({"segment": segment, **pair} for pair in record["dunn"])
         for model in models:
             row = {"segment": segment, "model": model.value, "n": len(by_model[model])}
-            model_results = [r for _, r in rows if r.model == model]
+            model_results = [r for r in results if r.model == model]
             for name in GOF_METRICS:
                 values = [
                     getattr(r.gof, name)
@@ -576,17 +581,14 @@ def cmd_rank(args) -> int:
     formats = _parse_formats(args.format)
     out = _out_dir(args)
 
-    groups: dict[str, list] = {}
+    dirs = []
     for spec in args.fits:
-        forced_label = None
-        path_text = spec
-        if "=" in spec and not Path(spec).exists():
-            forced_label, path_text = spec.split("=", 1)
-        path = Path(path_text)
-        rows, segment_by_series = _read_fit_dir(path)
-        for label, result in rows:
-            segment = forced_label or segment_by_series.get(label) or path.name
-            groups.setdefault(segment, []).append(result)
+        label, path = None, Path(spec)
+        if "=" in spec and not path.exists():
+            label, text = spec.split("=", 1)
+            path = Path(text)
+        dirs.append((path, label, path.name))
+    groups = _load_fits(dirs)
 
     table = rank_models(groups, args.metric)
     write_csv(out / "ranking.csv", ["model", *table.segments], ranking_rows(table))

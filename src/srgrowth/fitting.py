@@ -6,12 +6,14 @@ point, then a Levenberg-Marquardt loop with the analytic Jacobian polishes it
 to a least-squares optimum, projecting every step back into the parameter
 bounds.  Non-convergence is recorded on the result, never raised.
 
-The search screens each chunk of draws on at most 8 fixed time points and
-scores in full only the draws whose partial RSS does not exceed the best
-full RSS seen so far.  A partial RSS is a sum over a subset of the same
-nonnegative squared residuals, so a screened-out draw's full RSS is larger
-than a draw already scored and the search returns exactly the draw an
-exhaustive scoring would.
+The search screens each chunk of draws in two stages.  Once an earlier
+chunk has set a finite best RSS, it drops every draw whose squared residual
+at the last observation exceeds that RSS; the rest it scores on at most 8
+fixed time points, and it scores in full only the draws whose partial RSS
+does not exceed the best full RSS seen so far.  A partial RSS is a sum over
+a subset of the same nonnegative squared residuals, so a screened-out
+draw's full RSS is larger than a draw already scored and the search
+returns exactly the draw an exhaustive scoring would.
 
 Goodness of fit is summarised four ways per fit:
 
@@ -156,18 +158,28 @@ def _model_rng(cfg: FitConfig, model: ModelId) -> np.random.Generator:
     return np.random.default_rng([seed, MODEL_ORDER.index(model)])
 
 
+def _rss(kernel, candidates, t, y) -> np.ndarray:
+    r = kernel(candidates, t) - y
+    return np.einsum("ij,ij->i", r, r)
+
+
 def _screen(kernel, candidates, t, y, t_sel, y_sel, best_rss, slack) -> np.ndarray:
-    # Partial RSS over the screen points bounds each candidate's full RSS
+    # A partial RSS over some of the points bounds each candidate's full RSS
     # from below (up to summation rounding, which ``slack`` covers), so a
     # candidate whose partial RSS already exceeds the best full RSS in sight
     # cannot be the first minimum.  A non-finite partial RSS means a
     # non-finite full RSS, which never wins either.
-    r = kernel(candidates, t_sel) - y_sel
-    partial = np.einsum("ij,ij->i", r, r)
+    if math.isfinite(best_rss):
+        # The last point carries the largest count, so most draws miss it by
+        # more than the best RSS of the earlier chunks; the comparison also
+        # drops a NaN or infinite one-point RSS.
+        candidates = candidates[_rss(kernel, candidates, t[-1:], y[-1:]) <= best_rss * slack]
+        if candidates.shape[0] == 0:
+            return candidates
+    partial = _rss(kernel, candidates, t_sel, y_sel)
     finite = np.isfinite(partial)
     lead = int(np.argmin(np.where(finite, partial, math.inf)))
-    r = kernel(candidates[lead : lead + 1], t) - y
-    lead_rss = float(np.einsum("ij,ij->i", r, r)[0])
+    lead_rss = float(_rss(kernel, candidates[lead : lead + 1], t, y)[0])
     if math.isfinite(lead_rss):
         best_rss = min(best_rss, lead_rss)
     return candidates[finite & (partial <= best_rss * slack)]
@@ -203,8 +215,7 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
         candidates = _screen(kernel, candidates, t, y, t_sel, y_sel, best_rss, slack)
         if candidates.shape[0] == 0:
             continue
-        residuals = kernel(candidates, t) - y
-        rss = np.einsum("ij,ij->i", residuals, residuals)
+        rss = _rss(kernel, candidates, t, y)
         rss = np.where(np.isfinite(rss), rss, math.inf)
         idx = int(np.argmin(rss))
         if rss[idx] < best_rss:

@@ -16,6 +16,7 @@ probabilities come from the closed form for integer degrees of freedom
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -31,6 +32,8 @@ LAPLACE_CRITICAL = 1.96
 GOF_METRICS = ("r2", "aic", "bic", "rse")
 # R^2 ranks high-to-low; the information criteria and the residual standard
 # error rank low-to-high.
+# past this h, e^-h is no longer a normal float
+_H_SUBNORMAL = -math.log(sys.float_info.min)
 _HIGHER_IS_BETTER = {"r2": True, "aic": False, "bic": False, "rse": False}
 
 EFFECT_THRESHOLDS = (0.01, 0.06, 0.14)
@@ -105,9 +108,11 @@ def chi2_sf(x: float, df: int) -> float:
     e^-h * sum_{i<df/2} h^i/i! for even df, and for odd df
     erfc(sqrt h) + e^-h * sum_{i=1}^{(df-1)/2} h^(i-1/2)/Gamma(i+1/2).
     Each term is the previous one times h/(i+...), starting from e^-h, so
-    nothing overflows.  Past x = 1416.79, e^-h is no longer a normal float
-    and the result keeps only its absolute accuracy; for df <= 8 the tail
-    there is below 2e-300.
+    nothing overflows.  Past x = 1416.79, where e^-h is no longer a normal
+    float, each term is formed from its logarithm instead, -h + i ln h -
+    ln i! (even df) or -h + (i-1/2) ln h - ln Gamma(i+1/2) (odd df), and the
+    terms are summed relative to the largest, so the tail keeps its
+    relative accuracy for as long as it is a normal float.
     """
     if not (df >= 1 and float(df).is_integer()):
         raise ValueError(f"chi2_sf needs an integer df >= 1, got {df}")
@@ -116,6 +121,16 @@ def chi2_sf(x: float, df: int) -> float:
     if not math.isfinite(x):
         raise ValueError(f"chi2_sf needs a finite x, got {x}")
     h, df = x / 2.0, int(df)
+    if h > _H_SUBNORMAL:
+        log_h = math.log(h)
+        if df % 2 == 0:
+            total = 0.0
+            logs = [i * log_h - math.lgamma(i + 1.0) for i in range(df // 2)]
+        else:
+            total = math.erfc(math.sqrt(h))
+            logs = [(i - 0.5) * log_h - math.lgamma(i + 0.5) for i in range(1, df // 2 + 1)]
+        top = max(logs, default=0.0)
+        return total + math.exp(top - h) * sum(math.exp(v - top) for v in logs)
     if df % 2 == 0:
         term = total = math.exp(-h)
         for i in range(1, df // 2):

@@ -131,21 +131,52 @@ def search_cases(draw):
     return series, FitConfig(search_budget=budget, rng_seed=draw(st.integers(0, 2**32 - 1)))
 
 
-def few_point_case(n):
-    """n points, so the 8 screen points are all of them for n <= 8."""
+def geometric_case(n):
+    """n points and two chunks of draws, so the one-point stage runs on the
+    second; for n <= 8 the 8 screen points are all of them."""
     times = np.geomspace(0.5, 40.0, n)
     return FailureSeries(times=times, horizon=40.0), FitConfig(search_budget=5000, rng_seed=n)
+
+
+def zigzag_case():
+    """Early counts alternate between 0 and 100, which no model follows, so
+    the best RSS stays large and many draws pass the one-point stage on the
+    last count of 30; the 8-point screen and the full scoring decide."""
+    times = np.geomspace(0.5, 40.0, 60)
+    counts = np.where(np.arange(60) % 2 == 0, 0.0, 100.0)
+    counts[-1] = 30.0
+    return (
+        FailureSeries(times=times, horizon=40.0, counts=counts),
+        FitConfig(search_budget=9000, rng_seed=6),
+    )
+
+
+def step_case():
+    """Counts of 0 up to a last count of 10: the best draws stay low and owe
+    most of their RSS to the last point, so a one-point bound much tighter
+    than the best RSS would drop the winner of a later chunk."""
+    times = np.geomspace(0.5, 40.0, 60)
+    counts = np.zeros(60)
+    counts[-1] = 10.0
+    return (
+        FailureSeries(times=times, horizon=40.0, counts=counts),
+        FitConfig(search_budget=9000, rng_seed=5),
+    )
 
 
 @pytest.mark.parametrize("model", MODEL_ORDER)
 @settings(max_examples=25, deadline=None)
 @given(case=search_cases())
-@example(case=few_point_case(2))
-@example(case=few_point_case(3))
-@example(case=few_point_case(8))
-@example(case=few_point_case(9))
+@example(case=geometric_case(2))
+@example(case=geometric_case(3))
+@example(case=geometric_case(8))
+@example(case=geometric_case(9))
+@example(case=geometric_case(400))
+@example(case=zigzag_case())
+@example(case=step_case())
 def test_initial_search_equals_brute_force(model, case):
-    """Screening draws on a few points never changes the chosen draw."""
+    """Screening draws on the last point, then on a few points, never
+    changes the chosen draw."""
     series, cfg = case
     if series.n < descriptor(model).k + 1:
         with pytest.raises(InsufficientDataError):
@@ -174,6 +205,28 @@ def test_search_chunks_stay_under_the_element_cap(monkeypatch):
     monkeypatch.setitem(fitting._KERNELS, ModelId.WE, recording)
     start = initial_search(ModelId.WE, series, cfg)
     assert sizes and max(sizes) <= fitting._SEARCH_ELEMENTS
+    assert np.array_equal(start, expected)
+
+
+def test_one_point_stage_thins_the_8_point_screen(monkeypatch):
+    """After the first chunk the draws that miss the last count by more
+    than the best RSS so far never reach the 8-point screen."""
+    series = synthetic_series(ModelId.GO, (300.0, 0.04), n=400)
+    chunk = fitting._SEARCH_ELEMENTS // series.n
+    cfg = FitConfig(search_budget=3 * chunk, rng_seed=8)
+    expected = brute_search(ModelId.GO, series, cfg)
+    kernel = fitting._KERNELS[ModelId.GO]
+    screened = []
+
+    def recording(candidates, times, jac=False):
+        if times.size == fitting._SCREEN_POINTS:
+            screened.append(candidates.shape[0])
+        return kernel(candidates, times, jac=jac)
+
+    monkeypatch.setitem(fitting._KERNELS, ModelId.GO, recording)
+    start = initial_search(ModelId.GO, series, cfg)
+    assert len(screened) == 3 and screened[0] == chunk
+    assert all(rows < chunk for rows in screened[1:])
     assert np.array_equal(start, expected)
 
 

@@ -68,14 +68,25 @@ def test_chi2_sf_matches_scipy():
 
 
 def test_chi2_sf_matches_mpmath():
-    """df = k - 1 for up to nine models, so df 1..8, over x from 1e-6 to 1400."""
+    """df = k - 1 for up to nine models, so df 1..8, over x from 1e-6 to 1400;
+    then df 5..100 over x up to 3000, past x = 1416.79 where e^(-x/2) stops
+    being a normal float, wherever the tail itself is above 1e-300."""
     mpmath = pytest.importorskip("mpmath")
+
+    def expected(x, df):
+        return float(mpmath.gammainc(df / 2, x / 2, mpmath.inf, regularized=True))
+
     with mpmath.workdps(40):
         for df in range(1, 9):
             for x in np.geomspace(1e-6, 1400.0, 120):
                 x = float(x)
-                expected = mpmath.gammainc(df / 2, x / 2, mpmath.inf, regularized=True)
-                assert_allclose(chi2_sf(x, df), float(expected), rtol=1e-13, atol=0)
+                assert_allclose(chi2_sf(x, df), expected(x, df), rtol=1e-13, atol=0)
+        for df in (5, 6, 7, 8, 9, 16, 25, 40, 63, 64, 99, 100):
+            for x in np.linspace(1000.0, 3000.0, 101):
+                x = float(x)
+                tail = expected(x, df)
+                if tail > 1e-300:
+                    assert_allclose(chi2_sf(x, df), tail, rtol=1e-12, atol=0)
 
 
 # e^(-x/2) stays a normal float up to x = 1416.79; near 0 the sum can round

@@ -185,8 +185,28 @@ def test_pooled_ranks_equal_the_loop_bitwise(groups):
     assert type(tie_sum) is float and tie_sum == expected_tie_sum
 
 
+@st.composite
+def equal_mean_rank_groups(draw):
+    """Groups of pairs m - d, m + d and lone values m: the pooled sample is
+    symmetric around m, so each pair's average ranks sum to N + 1, a lone m
+    ranks (N + 1)/2, and every group's mean rank is the pooled one."""
+    m = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    offsets = st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), max_size=12)
+    groups = []
+    for _ in range(draw(st.integers(2, 3))):
+        pairs = draw(offsets)
+        lone = draw(st.integers(0 if pairs else 1, 2))
+        groups.append([m] * lone + [v for d in pairs for v in (m - d, m + d)])
+    return groups
+
+
 @settings(max_examples=200, deadline=None)
-@given(groups=tied_groups.filter(lambda gs: sum(map(len, gs)) >= 3), data=st.data())
+@given(
+    groups=st.one_of(tied_groups, equal_mean_rank_groups()).filter(
+        lambda gs: sum(map(len, gs)) >= 3
+    ),
+    data=st.data(),
+)
 def test_kruskal_wallis_invariant_under_permuting_groups(groups, data):
     permuted = data.draw(st.permutations(groups))
     h, p = kruskal_wallis(groups)
@@ -201,6 +221,12 @@ def test_kruskal_wallis_invariant_under_permuting_groups(groups, data):
 )
 def test_kruskal_wallis_equal_mean_ranks_give_exactly_zero(groups):
     """Both groups' mean rank is the pooled (N+1)/2 = 5, so H is 0 exactly."""
+    assert kruskal_wallis(groups) == (0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups=equal_mean_rank_groups().filter(lambda gs: sum(map(len, gs)) >= 3))
+def test_kruskal_wallis_is_exactly_zero_when_mean_ranks_agree(groups):
     assert kruskal_wallis(groups) == (0.0, 1.0)
 
 
