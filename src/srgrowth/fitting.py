@@ -3,8 +3,11 @@
 The estimation pipeline mirrors common reliability-growth practice: a large
 seeded random search over log-uniform parameter draws picks the best starting
 point, then a Levenberg-Marquardt loop with the analytic Jacobian polishes it
-to a least-squares optimum, projecting every step back into the parameter
-bounds.  Non-convergence is recorded on the result, never raised.
+to a least-squares optimum within the parameter bounds.  The loop is
+active-set: a parameter that sits on a bound while the descent direction
+points out of the box is held fixed for that iteration, the damped step is
+solved over the others and projected back into the box.  Non-convergence
+is recorded on the result, never raised.
 
 The search screens each chunk of draws in two stages.  Once an earlier
 chunk has set a finite best RSS, it drops every draw whose squared residual
@@ -185,20 +188,33 @@ def _screen(kernel, candidates, t, y, t_sel, y_sel, best_rss, slack) -> np.ndarr
     return candidates[finite & (partial <= best_rss * slack)]
 
 
-def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) -> np.ndarray:
-    """Best of ``cfg.search_budget`` log-uniform parameter draws by RSS."""
-    mid = ModelId(model)
-    _require_enough_points(mid, series)
+def _draws(mid: ModelId, series: FailureSeries, cfg: FitConfig):
+    """The search's log-uniform draws, chunk by chunk, from a fresh stream."""
     lo, hi = search_bounds(mid, series.n)
     log_lo = np.log(lo)
     log_span = np.log(hi) - log_lo
-    k = lo.size
+    rng = _model_rng(cfg, mid)
+    chunk = max(1, min(_SEARCH_CHUNK, _SEARCH_ELEMENTS // series.n))
+    remaining = cfg.search_budget
+    while remaining > 0:
+        batch = min(chunk, remaining)
+        remaining -= batch
+        yield np.exp(log_lo + rng.random((batch, lo.size)) * log_span)
+
+
+def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) -> np.ndarray:
+    """Best of ``cfg.search_budget`` log-uniform parameter draws by RSS.
+
+    When no draw has a finite RSS, the first draw whose residuals are all
+    finite (their squares overflowed) is returned instead, for ``refine``
+    to improve; ``NumericError`` only when there is none.
+    """
+    mid = ModelId(model)
+    _require_enough_points(mid, series)
     n = series.n
     t = series.times
     y = series.cumulative
     kernel = _KERNELS[mid]
-    rng = _model_rng(cfg, mid)
-    chunk = max(1, min(_SEARCH_CHUNK, _SEARCH_ELEMENTS // n))
     # with n <= 8 points every point is a screen point, and the partial RSS
     # is the full one
     sel = np.unique(np.round(np.linspace(0, n - 1, _SCREEN_POINTS)).astype(np.intp))
@@ -207,11 +223,7 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
 
     best_rss = math.inf
     best: np.ndarray | None = None
-    remaining = cfg.search_budget
-    while remaining > 0:
-        batch = min(chunk, remaining)
-        remaining -= batch
-        candidates = np.exp(log_lo + rng.random((batch, k)) * log_span)
+    for candidates in _draws(mid, series, cfg):
         candidates = _screen(kernel, candidates, t, y, t_sel, y_sel, best_rss, slack)
         if candidates.shape[0] == 0:
             continue
@@ -221,9 +233,15 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
         if rss[idx] < best_rss:
             best_rss = float(rss[idx])
             best = candidates[idx].copy()
-    if best is None:  # every draw overflowed (DU, say, at budget 1)
-        raise NumericError("initial search produced no finite candidate")
-    return best
+    if best is not None:
+        return best
+    # Every RSS overflowed (DU, say, at budget 1).  The screen dropped the
+    # draws without recording them, so replay the same stream.
+    for candidates in _draws(mid, series, cfg):
+        finite = np.all(np.isfinite(kernel(candidates, t) - y), axis=1)
+        if finite.any():
+            return candidates[int(np.argmax(finite))].copy()
+    raise NumericError("initial search produced no draw with finite residuals")
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +266,30 @@ def _fd_jacobian(kernel, p: np.ndarray, t: np.ndarray, lo, hi) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _clip_params(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # keep strictly above the lower bound so log/ratio terms stay defined
-    floor = np.nextafter(lo, np.inf)
-    return np.minimum(np.maximum(p, floor), hi)
-
-
 def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
     """Polish ``init`` by damped Gauss-Newton on the residual sum of squares.
 
-    Accepted steps never increase the RSS.  Stops when the relative RSS
-    drop falls below ``REFINE_RSS_REL_TOL``, when the step norm falls below
-    ``REFINE_STEP_TOL`` (both count as convergence), or after
-    ``REFINE_MAX_ITERATIONS`` iterations or on damping exhaustion (reported
-    as ``converged=False``).
+    Each iteration holds every parameter that sits on its lower bound (the
+    first float above it) with ``J^T r < 0``, or on its upper bound with
+    ``J^T r > 0``, and solves the damped system over the free ones; the
+    gain ratio and the step norm are taken over the free components.
+    Accepted steps have a finite RSS and never increase it; a start whose
+    RSS overflows is accepted and left only for a finite one.
+
+    Stops, counting as convergence, when every parameter is held (a
+    bound-constrained stationary point), when the relative RSS drop falls
+    below ``REFINE_RSS_REL_TOL`` or when the step norm falls below
+    ``REFINE_STEP_TOL``; stops with ``converged=False`` after
+    ``REFINE_MAX_ITERATIONS`` iterations, on damping exhaustion or on a
+    non-finite Jacobian.
     """
     mid = ModelId(model)
     _require_enough_points(mid, series)
     p = validate_params(mid, init)
     lo, hi = search_bounds(mid, series.n)
-    p = _clip_params(p, lo, hi)
+    # keep strictly above the lower bound so log/ratio terms stay defined
+    floor = np.nextafter(lo, np.inf)
+    p = np.clip(p, floor, hi)
     t = series.times
     y = series.cumulative
     kernel = _KERNELS[mid]
@@ -289,8 +311,18 @@ def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
             jac = _fd_jacobian(kernel, p, t, lo, hi)
         if not np.all(np.isfinite(jac)):
             break  # hopeless curvature information: report non-convergence
-        jtj = jac.T @ jac
+        # Hold every parameter that sits on a bound while the descent
+        # direction jtr points out of the box; a clipped step would only
+        # drag the free ones along in damped micro-steps.
         jtr = jac.T @ residuals
+        held = ((p <= floor) & (jtr < 0.0)) | ((p >= hi) & (jtr > 0.0))
+        if held.all():
+            converged = True  # a bound-constrained stationary point
+            break
+        free = ~held
+        jac = jac[:, free]
+        jtr = jtr[free]
+        jtj = jac.T @ jac
         damp = np.maximum(np.diag(jtj), 1e-12)
 
         accepted = False
@@ -305,7 +337,9 @@ def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
                 nu *= 2.0
                 rejections += 1
                 continue
-            p_new = _clip_params(p + step, lo, hi)
+            full = np.zeros_like(p)
+            full[free] = step
+            p_new = np.clip(p + full, floor, hi)
             fitted_new = kernel(p_new, t)
             residuals_new = y - fitted_new
             rss_new = (
@@ -313,7 +347,7 @@ def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
                 if np.all(np.isfinite(residuals_new))
                 else math.inf
             )
-            if rss_new <= rss:
+            if rss_new <= rss and math.isfinite(rss_new):
                 accepted = True
                 break
             lam *= nu
@@ -324,7 +358,7 @@ def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
 
         # Nielsen gain ratio: shrink the damping according to how well the
         # quadratic model predicted the actual RSS reduction.
-        moved = p_new - p
+        moved = (p_new - p)[free]
         predicted = float(moved @ (lam * damp * moved + jtr))
         rho = (rss - rss_new) / predicted if predicted > 0.0 else 0.0
         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-12)

@@ -22,6 +22,8 @@ from srgrowth.fitting import (
 from srgrowth.models import (
     _KERNELS,
     MODEL_ORDER,
+    RATE_LOWER,
+    RATE_UPPER,
     ModelId,
     descriptor,
     mean_value,
@@ -35,6 +37,14 @@ def synthetic_series(model, params, n=120, horizon=150.0, label="synthetic"):
     t = np.linspace(horizon / n, horizon, n)
     counts = np.asarray(mean_value(model, params, t), dtype=float)
     return FailureSeries(times=t, horizon=horizon, label=label, counts=counts)
+
+
+def noisy_series(model, params, seed, n=120, horizon=150.0, sigma=2.0):
+    """The mean value curve on an even grid plus seeded Gaussian noise."""
+    t = np.linspace(horizon / n, horizon, n)
+    noise = np.random.default_rng(seed).normal(0.0, sigma, n)
+    counts = np.asarray(mean_value(model, params, t), dtype=float) + noise
+    return FailureSeries(times=t, horizon=horizon, counts=counts)
 
 
 def rss_of(model, params, series):
@@ -93,26 +103,30 @@ def test_initial_search_beats_random_probes():
 
 def brute_search(model, series, cfg):
     """Reference search: score every draw in full, chunk by chunk, keeping
-    the first minimum; the same draws as ``initial_search``.  None when no
-    draw has a finite RSS."""
+    the first minimum; the same draws as ``initial_search``.  When no draw
+    has a finite RSS, the first draw whose residuals are all finite; None
+    when there is none."""
     lo, hi = search_bounds(model, series.n)
     log_lo = np.log(lo)
     log_span = np.log(hi) - log_lo
     kernel = _KERNELS[ModelId(model)]
     rng = np.random.default_rng([cfg.rng_seed, MODEL_ORDER.index(ModelId(model))])
-    best_rss, best = math.inf, None
+    best_rss, best, fallback = math.inf, None, None
     remaining = cfg.search_budget
     while remaining > 0:
         batch = min(4096, remaining)
         remaining -= batch
         candidates = np.exp(log_lo + rng.random((batch, lo.size)) * log_span)
         residuals = kernel(candidates, series.times) - series.cumulative
+        finite = np.flatnonzero(np.all(np.isfinite(residuals), axis=1))
+        if fallback is None and finite.size:
+            fallback = candidates[finite[0]].copy()
         rss = np.einsum("ij,ij->i", residuals, residuals)
         rss = np.where(np.isfinite(rss), rss, math.inf)
         idx = int(np.argmin(rss))
         if rss[idx] < best_rss:
             best_rss, best = float(rss[idx]), candidates[idx].copy()
-    return best
+    return fallback if best is None else best
 
 
 @st.composite
@@ -164,6 +178,13 @@ def step_case():
     )
 
 
+def overflow_case():
+    """Three points up to t = 100 and one draw: DU's draw at seed 21 has
+    finite residuals whose squares overflow, so no draw has a finite RSS."""
+    series = FailureSeries(times=[1.0, 50.0, 100.0], horizon=100.0)
+    return series, FitConfig(search_budget=1, rng_seed=21)
+
+
 @pytest.mark.parametrize("model", MODEL_ORDER)
 @settings(max_examples=25, deadline=None)
 @given(case=search_cases())
@@ -174,20 +195,32 @@ def step_case():
 @example(case=geometric_case(400))
 @example(case=zigzag_case())
 @example(case=step_case())
+@example(case=overflow_case())
 def test_initial_search_equals_brute_force(model, case):
     """Screening draws on the last point, then on a few points, never
-    changes the chosen draw."""
+    changes the chosen draw, nor the fallback when every RSS overflows."""
     series, cfg = case
     if series.n < descriptor(model).k + 1:
         with pytest.raises(InsufficientDataError):
             initial_search(model, series, cfg)
         return
     expected = brute_search(model, series, cfg)
-    if expected is None:  # every draw overflowed
+    if expected is None:  # no draw has finite residuals
         with pytest.raises(NumericError):
             initial_search(model, series, cfg)
     else:
         assert np.array_equal(initial_search(model, series, cfg), expected)
+
+
+def test_fit_all_fits_from_a_draw_whose_rss_overflows():
+    series, cfg = overflow_case()
+    with np.errstate(over="ignore"):
+        (result,) = fit_all(series, models=("DU",), cfg=cfg)
+        start = initial_search(ModelId.DU, series, cfg)
+        assert math.isinf(rss_of(ModelId.DU, start, series))
+    # a fit from the fallback draw, not a NaN placeholder
+    assert result.params == tuple(start)
+    assert result.rss == math.inf and not result.converged
 
 
 def test_search_chunks_stay_under_the_element_cap(monkeypatch):
@@ -250,6 +283,86 @@ def test_refine_never_worsens_the_start(monkeypatch):
         start_rss = rss_of(ModelId.WE, start, series)
         result = refine(ModelId.WE, series, start)
         assert result.rss <= start_rss + 1e-9
+
+
+def test_refine_holds_hd_shape_on_its_floor():
+    """On GO data whose best HD fit wants c < 0, c stays on its floor and
+    HD matches GO instead of crawling along the bound."""
+    series = noisy_series(ModelId.GO, (300.0, 0.04), seed=4)
+    go = refine(ModelId.GO, series, (300.0, 0.04))
+    hd = refine(ModelId.HD, series, (240.0, 0.052, 0.0))
+    assert hd.converged and hd.iterations_used <= 50
+    assert hd.params[2] == np.nextafter(RATE_LOWER, 1.0)
+    assert hd.rss <= go.rss * (1.0 + 1e-9)
+
+
+def test_refine_holds_mo_scale_on_its_cap():
+    series = noisy_series(ModelId.MO, (5000.0, 0.01), seed=4)
+    result = refine(ModelId.MO, series, (RATE_UPPER, 0.05))
+    assert result.converged and result.iterations_used <= 50
+    assert result.params[0] == RATE_UPPER
+
+
+def test_refine_stops_at_once_when_every_parameter_is_held(monkeypatch):
+    """Counts far above MO's curve at (RATE_UPPER, RATE_UPPER): both
+    parameters would leave the box, so the start is a bound-constrained
+    stationary point and no trial step is evaluated."""
+    t = np.linspace(0.01, 1.0, 20)
+    series = FailureSeries(times=t, horizon=1.0, counts=1e6 * (1.0 + t))
+    kernel = fitting._KERNELS[ModelId.MO]
+    calls = []
+
+    def recording(p, times, jac=False):
+        calls.append("jac" if jac else "mean")
+        return kernel(p, times, jac=jac)
+
+    monkeypatch.setitem(fitting._KERNELS, ModelId.MO, recording)
+    result = refine(ModelId.MO, series, (RATE_UPPER, RATE_UPPER))
+    assert result.converged and result.iterations_used == 1
+    assert result.params == (RATE_UPPER, RATE_UPPER)
+    # the start, one Jacobian, and the final scores
+    assert calls == ["mean", "jac", "mean"]
+
+
+# (model, generating parameters, start): each start puts one or two
+# parameters on a bound.  HD fits GO data, so its best c lies below the
+# floor it starts on; MO's generating scale lies above RATE_UPPER.  Starts
+# with an asymptote on its floor are left out: from m ~ 0 both solvers can
+# end on the plateau of a saturated rate, and refine on a worse one.
+ORACLE_CASES = [
+    (ModelId.GO, (300.0, 0.04), (240.0, RATE_LOWER)),
+    (ModelId.GOS, (250.0, 0.07), (12_000.0, 0.091)),  # a on its cap, 100·n
+    (ModelId.HD, (300.0, 0.04, 0.0), (240.0, RATE_LOWER, RATE_LOWER)),
+    (ModelId.MO, (5000.0, 0.01), (RATE_UPPER, RATE_LOWER)),
+    (ModelId.DU, (5.0, 0.9), (4.0, RATE_LOWER)),
+    (ModelId.WE, (220.0, 0.015, 1.4), (176.0, 0.0195, RATE_LOWER)),
+    (ModelId.YE, (300.0, 2.0, 0.02), (240.0, 2.6, RATE_LOWER)),
+    (ModelId.YR, (300.0, 3.0, 0.001), (240.0, 3.9, RATE_LOWER)),
+    (ModelId.LL, (300.0, 0.03, 2.5), (240.0, RATE_LOWER, 2.75)),
+]
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+@pytest.mark.parametrize("model, truth, start", ORACLE_CASES, ids=[c[0].value for c in ORACLE_CASES])
+def test_refine_matches_scipy_trf_from_a_bound(model, truth, start, seed):
+    """scipy's reflective trust region, from the same start in the same
+    box, finds no lower RSS than refine."""
+    optimize = pytest.importorskip("scipy.optimize")
+    series = noisy_series(model, truth, seed)
+    t, y = series.times, series.cumulative
+    lo, hi = search_bounds(model, series.n)
+    kernel = _KERNELS[model]
+    floor = np.nextafter(lo, np.inf)
+    trf = optimize.least_squares(
+        lambda p: kernel(p, t) - y,
+        np.clip(start, floor, hi),
+        jac=lambda p: kernel(p, t, jac=True),
+        bounds=(floor, hi),
+        method="trf",
+    )
+    assert trf.success
+    result = refine(model, series, start)
+    assert result.rss <= float(trf.fun @ trf.fun) * (1.0 + 1e-6)
 
 
 def test_refine_result_fields_are_consistent():
