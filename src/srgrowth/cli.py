@@ -96,6 +96,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
+        args.out.mkdir(parents=True, exist_ok=True)  # every verb writes there
         return args.func(args)
     except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -112,8 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"srgrowth {__version__}")
     sub = parser.add_subparsers(dest="verb")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", type=Path, required=True, help="output directory")
+    output.add_argument(
+        "--format", type=_parse_formats, default="csv", help="extra output formats (csv,json)"
+    )
 
-    ingest = sub.add_parser("ingest", help="normalize raw issue exports to defect NDJSON")
+    ingest = sub.add_parser(
+        "ingest", parents=[output], help="normalize raw issue exports to defect NDJSON"
+    )
     ingest.add_argument("--issues", nargs="*", default=[], help="raw issue JSON/NDJSON files")
     ingest.add_argument("--repo", help="owner/name to fetch from the tracker instead")
     ingest.add_argument("--token", help="tracker API token (or set SRGROWTH_TOKEN / GITHUB_TOKEN)")
@@ -122,13 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also match defect keywords in issue titles",
     )
-    ingest.add_argument("--out", required=True, help="output directory")
-    ingest.add_argument("--format", default="csv", help="extra output formats (csv,json)")
     ingest.set_defaults(func=cmd_ingest)
 
     for name, func in (("trend", cmd_trend), ("fit", cmd_fit)):
         cmd = sub.add_parser(
             name,
+            parents=[output],
             help="Laplace trend test per series" if name == "trend" else "fit the model zoo per series",
         )
         cmd.add_argument("--issues", nargs="+", required=True, help="normalized issue files, one per project")
@@ -142,22 +149,18 @@ def build_parser() -> argparse.ArgumentParser:
             dest="min_faults",
             help="drop release windows with fewer faults (default 20)",
         )
-        cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--format", default="csv", help="extra output formats (csv,json)")
         if name == "fit":
             cmd.add_argument("--models", help="comma-separated model ids (default: all nine)")
             cmd.add_argument("--seed", type=int, default=0, help="random seed for the initial search")
             cmd.add_argument("--budget", type=int, default=100_000, help="initial search candidates per model")
         cmd.set_defaults(func=func)
 
-    compare = sub.add_parser("compare", help="Kruskal-Wallis + Dunn across models")
+    compare = sub.add_parser("compare", parents=[output], help="Kruskal-Wallis + Dunn across models")
     compare.add_argument("--fits", nargs="+", required=True, help="fit output directories")
     compare.add_argument("--metric", default="r2", choices=GOF_METRICS)
-    compare.add_argument("--out", required=True)
-    compare.add_argument("--format", default="csv", help="extra output formats (csv,json)")
     compare.set_defaults(func=cmd_compare)
 
-    rank = sub.add_parser("rank", help="per-segment model rankings and agreement")
+    rank = sub.add_parser("rank", parents=[output], help="per-segment model rankings and agreement")
     rank.add_argument(
         "--fits",
         nargs="+",
@@ -165,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fit output directories, optionally labeled as SEGMENT=DIR",
     )
     rank.add_argument("--metric", default="r2", choices=GOF_METRICS)
-    rank.add_argument("--out", required=True)
-    rank.add_argument("--format", default="csv", help="extra output formats (csv,json)")
     rank.set_defaults(func=cmd_rank)
 
     return parser
@@ -176,14 +177,22 @@ def _parse_formats(raw: str) -> set[str]:
     formats = {part.strip().lower() for part in raw.split(",") if part.strip()}
     unknown = formats - {"csv", "json"}
     if unknown:
-        raise ValueError(f"unknown output formats {sorted(unknown)}; choose from csv,json")
+        raise argparse.ArgumentTypeError(
+            f"unknown output formats {sorted(unknown)}; choose from csv,json"
+        )
     return formats
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_meta(args, name: str, meta: dict, **results) -> None:
+    """Write the verb's metadata (its base metadata plus ``meta``) to
+    ``name`` and, under ``--format json``, ``report.json``: that metadata
+    next to ``results``."""
+    meta = {**base_metadata(args.verb), **meta}
+    files = {name: meta}
+    if "json" in args.format:
+        files["report.json"] = {"metadata": meta, **results}
+    for filename, payload in files.items():
+        write_json(args.out / filename, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +212,6 @@ def _ingest_sources(args):
 
 
 def cmd_ingest(args) -> int:
-    formats = _parse_formats(args.format)
-    out = _out_dir(args)
     if not args.issues and not args.repo:
         raise ValueError("ingest needs --issues files or --repo")
 
@@ -213,7 +220,7 @@ def cmd_ingest(args) -> int:
         matched = filter_defects(records, exclusions=frozenset(), include_title=args.title_match)
         # every kept record matches, so filtering the matches drops exactly the exclusions
         kept = filter_defects(matched, include_title=args.title_match)
-        target = out / f"{stem}.ndjson"
+        target = args.out / f"{stem}.ndjson"
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
             for record in kept:
                 handle.write(json.dumps(issue_to_json(record), sort_keys=True) + "\n")
@@ -232,12 +239,7 @@ def cmd_ingest(args) -> int:
             f"excluded={len(matched) - len(kept)} kept={len(kept)}"
         )
 
-    meta = base_metadata("ingest")
-    meta["title_match"] = bool(args.title_match)
-    meta["inputs"] = summary
-    write_json(out / "summary.json", meta)
-    if "json" in formats:
-        write_json(out / "report.json", {"metadata": meta})
+    _write_meta(args, "summary.json", {"title_match": bool(args.title_match), "inputs": summary})
     return 0
 
 
@@ -254,13 +256,13 @@ def _load_projects(paths) -> list[tuple[str, list]]:
     return projects
 
 
-def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[tuple[str, str]]]:
-    """Series per the grouping mode, segment labels, and skip notes."""
+def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dict]]:
+    """Series per the grouping mode, segment labels, and skipped.csv rows."""
     projects = _load_projects(args.issues)
     grouping = args.group_by
     series: list[FailureSeries] = []
     segments: dict[str, str] = {}
-    skipped: list[tuple[str, str]] = []
+    skipped: list[dict] = []
 
     if grouping == "releases":
         if not args.releases:
@@ -274,7 +276,8 @@ def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[tup
                     FailureSeries(times=s.times, horizon=s.horizon, label=label)
                 )
             for name, count in outcome.dropped:
-                skipped.append((f"{project}:{name}", f"only {count} faults (min {args.min_faults})"))
+                reason = f"only {count} faults (min {args.min_faults})"
+                skipped.append({"name": f"{project}:{name}", "reason": reason})
         return series, segments, skipped
 
     attributes = None
@@ -287,7 +290,7 @@ def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[tup
         try:
             s = build_series(records, label=project)
         except EmptySeriesError:
-            skipped.append((project, "no issues"))
+            skipped.append({"name": project, "reason": "no issues"})
             continue
         if attributes is not None:
             if project not in attributes:
@@ -304,51 +307,45 @@ def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[tup
     return series, segments, skipped
 
 
+def _enough_points(series, need: int, purpose: str, skipped: list[dict]) -> list[FailureSeries]:
+    """The series with at least ``need`` observations; each other one goes to
+    ``skipped``.  Raises ``InsufficientDataError`` when none is left."""
+    kept = []
+    for s in series:
+        if s.n >= need:
+            kept.append(s)
+        else:
+            reason = f"only {s.n} observations; {purpose} needs {need}"
+            skipped.append({"name": s.label, "reason": reason})
+    if not kept:
+        raise InsufficientDataError(f"no series has the {need} observations {purpose} needs")
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # trend
 # ---------------------------------------------------------------------------
 
 
 def cmd_trend(args) -> int:
-    formats = _parse_formats(args.format)
-    out = _out_dir(args)
     series, segments, skipped = _grouped_series(args)
+    series = _enough_points(series, 2, "trend", skipped)
+    rows = [trend_row(s.label, laplace_factor(s)) for s in series]
 
-    rows = []
-    for s in series:
-        if s.n < 2:
-            skipped.append((s.label, f"only {s.n} observations; trend needs 2"))
-            continue
-        rows.append(trend_row(s.label, laplace_factor(s)))
-    if not rows:
-        raise InsufficientDataError("no series with enough observations for the trend test")
-
-    write_csv(out / "trend.csv", TREND_COLUMNS, rows)
+    write_csv(args.out / "trend.csv", TREND_COLUMNS, rows)
     if segments:
-        write_csv(out / "segments.csv", SEGMENT_COLUMNS, sorted(segments.items()))
-    write_csv(out / "skipped.csv", SKIPPED_COLUMNS, skipped)
+        write_csv(args.out / "segments.csv", SEGMENT_COLUMNS, sorted(segments.items()))
+    write_csv(args.out / "skipped.csv", SKIPPED_COLUMNS, skipped)
 
-    meta = base_metadata("trend")
-    meta.update(
-        {
-            "grouping": args.group_by,
-            "min_faults": args.min_faults,
-            "series": {
-                row["series"]: {"n": row["n"], "segment": segments.get(row["series"], "all")}
-                for row in rows
-            },
-        }
-    )
-    write_json(out / "run_metadata.json", meta)
-    if "json" in formats:
-        write_json(
-            out / "report.json",
-            {
-                "metadata": meta,
-                "trend": rows,
-                "skipped": [dict(zip(SKIPPED_COLUMNS, row)) for row in skipped],
-            },
-        )
+    meta = {
+        "grouping": args.group_by,
+        "min_faults": args.min_faults,
+        "series": {
+            row["series"]: {"n": row["n"], "segment": segments.get(row["series"], "all")}
+            for row in rows
+        },
+    }
+    _write_meta(args, "run_metadata.json", meta, trend=rows, skipped=skipped)
     for row in rows:
         flag = "growth" if row["growth_significant"] else "no significant growth"
         print(f"{row['series']}: u={row['laplace_u']:.4f} ({flag})")
@@ -381,24 +378,14 @@ def _parse_models(raw: str | None) -> list[ModelId]:
 
 
 def cmd_fit(args) -> int:
-    formats = _parse_formats(args.format)
-    out = _out_dir(args)
     models = _parse_models(args.models)
     cfg = FitConfig(search_budget=args.budget, rng_seed=args.seed)
     series, segments, skipped = _grouped_series(args)
-
     fit_min = min(descriptor(m).k for m in models) + 1
-    fitted_series = []
-    for s in series:
-        if s.n < fit_min:
-            skipped.append((s.label, f"only {s.n} observations; fitting needs {fit_min}"))
-            continue
-        fitted_series.append(s)
-    if not fitted_series:
-        raise InsufficientDataError("no series with enough observations to fit")
+    fitted_series = _enough_points(series, fit_min, "fitting", skipped)
 
     slugs = unique_slugs([s.label for s in fitted_series])
-    curves_dir = out / "curves"
+    curves_dir = args.out / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
 
     gof_records = []
@@ -425,43 +412,28 @@ def cmd_fit(args) -> int:
             "curve": f"curves/{slugs[s.label]}.csv",
         }
 
-    write_csv(out / "gof.csv", GOF_COLUMNS, map(gof_row, gof_records))
-    write_csv(out / "trend.csv", TREND_COLUMNS, trend_rows)
-    write_csv(out / "skipped.csv", SKIPPED_COLUMNS, skipped)
+    write_csv(args.out / "gof.csv", GOF_COLUMNS, map(gof_row, gof_records))
+    write_csv(args.out / "trend.csv", TREND_COLUMNS, trend_rows)
+    write_csv(args.out / "skipped.csv", SKIPPED_COLUMNS, skipped)
     if segments:
         write_csv(
-            out / "segments.csv",
+            args.out / "segments.csv",
             SEGMENT_COLUMNS,
             [(s.label, series_meta[s.label]["segment"]) for s in fitted_series],
         )
 
-    meta = base_metadata("fit")
-    meta.update(
-        {
-            "seed": args.seed,
-            "budget": args.budget,
-            "models": [m.value for m in models],
-            "grouping": args.group_by,
-            "min_faults": args.min_faults,
-            "series": series_meta,
-        }
-    )
-    write_json(out / "run_metadata.json", meta)
-
-    if "json" in formats:
-        write_json(
-            out / "report.json",
-            {
-                "metadata": meta,
-                "gof": gof_records,
-                "trend": trend_rows,
-                "skipped": [dict(zip(SKIPPED_COLUMNS, row)) for row in skipped],
-            },
-        )
-
+    meta = {
+        "seed": args.seed,
+        "budget": args.budget,
+        "models": [m.value for m in models],
+        "grouping": args.group_by,
+        "min_faults": args.min_faults,
+        "series": series_meta,
+    }
+    _write_meta(args, "run_metadata.json", meta, gof=gof_records, trend=trend_rows, skipped=skipped)
     print(
         f"fitted {len(models)} models to {len(fitted_series)} series "
-        f"({len(skipped)} skipped) -> {out}"
+        f"({len(skipped)} skipped) -> {args.out}"
     )
     return 0
 
@@ -501,8 +473,6 @@ def _load_fits(dirs) -> dict[str, list]:
 
 
 def cmd_compare(args) -> int:
-    formats = _parse_formats(args.format)
-    out = _out_dir(args)
     metric = args.metric
 
     by_segment = _load_fits((Path(fits), None, "all") for fits in args.fits)
@@ -515,19 +485,21 @@ def cmd_compare(args) -> int:
     summary_rows = []
     records = []
     for segment in segment_names:
-        results = by_segment[segment]
-        by_model: dict[ModelId, list[float]] = {}
-        for result in results:
-            value = getattr(result.gof, metric)
-            if math.isfinite(value):
-                by_model.setdefault(result.model, []).append(value)
-        models = [m for m in MODEL_ORDER if m in by_model]
+        # the finite values of every score, per model, in the order read
+        scores: dict[ModelId, dict[str, list[float]]] = {}
+        for result in by_segment[segment]:
+            pooled = scores.setdefault(result.model, {name: [] for name in GOF_METRICS})
+            for name in GOF_METRICS:
+                value = getattr(result.gof, name)
+                if math.isfinite(value):
+                    pooled[name].append(value)
+        models = [m for m in MODEL_ORDER if scores.get(m, {}).get(metric)]
         if len(models) < 2:
             raise InsufficientDataError(
                 f"segment {segment!r} has {metric} values for {len(models)} model(s); "
                 "comparison needs at least 2 groups"
             )
-        groups = [by_model[m] for m in models]
+        groups = [scores[m][metric] for m in models]
         n_total = sum(len(g) for g in groups)
         if n_total <= len(models):
             raise InsufficientDataError(
@@ -540,29 +512,20 @@ def cmd_compare(args) -> int:
         comparison_rows.append({**record, "k": len(models), "n": n_total})
         dunn_rows.extend({"segment": segment, **pair} for pair in record["dunn"])
         for model in models:
-            row = {"segment": segment, "model": model.value, "n": len(by_model[model])}
-            model_results = [r for r in results if r.model == model]
-            for name in GOF_METRICS:
-                values = [
-                    getattr(r.gof, name)
-                    for r in model_results
-                    if math.isfinite(getattr(r.gof, name))
-                ]
+            row = {"segment": segment, "model": model.value, "n": len(scores[model][metric])}
+            for name, values in scores[model].items():
                 row[f"{name}_mean"] = sum(values) / len(values) if values else None
                 row[f"{name}_sd"] = (
                     float(np.std(values, ddof=1)) if len(values) >= 2 else None
                 )
             summary_rows.append(row)
 
-    write_csv(out / "comparison.csv", COMPARISON_COLUMNS, comparison_rows)
-    write_csv(out / "dunn.csv", DUNN_COLUMNS, dunn_rows)
-    write_csv(out / "summary.csv", SUMMARY_COLUMNS, summary_rows)
+    write_csv(args.out / "comparison.csv", COMPARISON_COLUMNS, comparison_rows)
+    write_csv(args.out / "dunn.csv", DUNN_COLUMNS, dunn_rows)
+    write_csv(args.out / "summary.csv", SUMMARY_COLUMNS, summary_rows)
 
-    meta = base_metadata("compare")
-    meta.update({"metric": metric, "effect_legend": EFFECT_LEGEND, "segments": segment_names})
-    write_json(out / "run_metadata.json", meta)
-    if "json" in formats:
-        write_json(out / "report.json", {"metadata": meta, "comparisons": records})
+    meta = {"metric": metric, "effect_legend": EFFECT_LEGEND, "segments": segment_names}
+    _write_meta(args, "run_metadata.json", meta, comparisons=records)
 
     for row in records:
         print(
@@ -578,9 +541,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    formats = _parse_formats(args.format)
-    out = _out_dir(args)
-
     dirs = []
     for spec in args.fits:
         label, path = None, Path(spec)
@@ -591,29 +551,19 @@ def cmd_rank(args) -> int:
     groups = _load_fits(dirs)
 
     table = rank_models(groups, args.metric)
-    write_csv(out / "ranking.csv", ["model", *table.segments], ranking_rows(table))
+    write_csv(args.out / "ranking.csv", ["model", *table.segments], ranking_rows(table))
 
-    meta = base_metadata("rank")
-    meta.update(
-        {
-            "metric": args.metric,
-            "segments": list(table.segments),
-            "models": [m.value for m in table.models],
-            "ira_percent": table.ira_percent,
-        }
-    )
-    write_json(out / "run_metadata.json", meta)
-    if "json" in formats:
-        write_json(
-            out / "report.json",
-            {
-                "metadata": meta,
-                "ranks": {
-                    segment: {m.value: table.ranks[segment][m] for m in table.models}
-                    for segment in table.segments
-                },
-            },
-        )
+    meta = {
+        "metric": args.metric,
+        "segments": list(table.segments),
+        "models": [m.value for m in table.models],
+        "ira_percent": table.ira_percent,
+    }
+    ranks = {
+        segment: {m.value: table.ranks[segment][m] for m in table.models}
+        for segment in table.segments
+    }
+    _write_meta(args, "run_metadata.json", meta, ranks=ranks)
 
     for segment in table.segments:
         ordered = sorted(table.models, key=lambda m: table.ranks[segment][m])

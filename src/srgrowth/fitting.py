@@ -266,6 +266,10 @@ def _fd_jacobian(kernel, p: np.ndarray, t: np.ndarray, lo, hi) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
+# A start far off the data can overflow the residual products (r·r, Jᵀr,
+# JᵀJ and R²'s squares) to inf; every check below handles inf, so numpy
+# need not warn about it.
+@np.errstate(over="ignore")
 def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
     """Polish ``init`` by damped Gauss-Newton on the residual sum of squares.
 

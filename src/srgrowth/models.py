@@ -356,7 +356,8 @@ def mean_value(model: ModelId | str, params, t):
     """Expected cumulative defect count m(t).
 
     ``t`` may be a scalar or a 1-D array of nonnegative times; the return
-    mirrors that shape.  m(0) = 0 and m is nondecreasing for every model.
+    mirrors that shape.  m(0) = 0 and m is nondecreasing for every model,
+    up to a rounding of eps times the scale ``a`` (GOS at tiny ``b*t``).
     """
     mid = ModelId(model)
     p = validate_params(mid, params)

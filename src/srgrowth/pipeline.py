@@ -206,6 +206,12 @@ def parse_issues(document: bytes | str | IO) -> ParseResult:
                     records.append(record)
             char_base += len(line)
 
+    return ParseResult(records=_unique_sorted(records, skipped), skipped=skipped)
+
+
+def _unique_sorted(records: list[IssueRecord], skipped: list[str]) -> list[IssueRecord]:
+    """The first record of each id, sorted by creation time; every later
+    repeat of an id is dropped with a note in ``skipped``."""
     seen: set[int] = set()
     unique: list[IssueRecord] = []
     for record in records:
@@ -215,7 +221,7 @@ def parse_issues(document: bytes | str | IO) -> ParseResult:
         seen.add(record.id)
         unique.append(record)
     unique.sort(key=lambda r: (r.created_at, r.id))
-    return ParseResult(records=unique, skipped=skipped)
+    return unique
 
 
 def issue_to_json(record: IssueRecord) -> dict:
@@ -310,8 +316,9 @@ def fetch_issues(
             break
         page += 1
 
-    records.sort(key=lambda r: (r.created_at, r.id))
-    return records
+    # an issue created mid-walk shifts the listing, so a page can repeat
+    # the last item of the page before it
+    return _unique_sorted(records, skipped)
 
 
 def _rate_limit_delay(headers) -> float | None:

@@ -461,3 +461,79 @@ def test_cli_import_leaves_requests_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, srgrowth.cli; assert 'requests' not in sys.modules, 'requests loaded'"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_report_metadata_is_each_verbs_metadata_file(tmp_path, two_projects):
+    a, b = two_projects
+    runs = {
+        "ingest": (["--issues", str(a), str(b)], "summary.json"),
+        "trend": (["--issues", str(a), str(b)], "run_metadata.json"),
+        "fit": (["--issues", str(a), str(b), "--models", "GO,MO", "--budget", "100"],
+                "run_metadata.json"),
+        "compare": (["--fits", str(tmp_path / "fit")], "run_metadata.json"),
+        "rank": (["--fits", str(tmp_path / "fit")], "run_metadata.json"),
+    }
+    for verb, (args, meta_file) in runs.items():
+        out = tmp_path / verb
+        assert main([verb, *args, "--format", "csv,json", "--out", str(out)]) == 0
+        meta = read_json(out / meta_file)
+        assert meta["command"] == verb
+        assert read_json(out / "report.json")["metadata"] == meta
+
+
+@pytest.mark.parametrize("verb, reason", [
+    ("trend", "only 1 observations; trend needs 2"),
+    ("fit", "only 1 observations; fitting needs 3"),
+])
+def test_skipped_csv_rows_are_report_skipped(tmp_path, verb, reason):
+    """A window with no faults is dropped, and one with a single fault is
+    too short for either verb."""
+    days = [*range(1, 31), 60]  # 30 issues in January, one in March
+    solo = tmp_path / "solo.json"
+    solo.write_text(json.dumps([
+        {"id": i, "created_at": (T0 + timedelta(days=d)).isoformat(), "labels": ["bug"]}
+        for i, d in enumerate(days)
+    ]))
+    releases = tmp_path / "releases.csv"
+    releases.write_text(
+        "name,start,end\n"
+        "jan,2021-01-01T00:00:00Z,2021-02-01T00:00:00Z\n"
+        "feb,2021-02-01T00:00:00Z,2021-03-01T00:00:00Z\n"
+        "mar,2021-03-01T00:00:00Z,2021-04-01T00:00:00Z\n"
+    )
+    out = tmp_path / verb
+    assert main([
+        verb, "--issues", str(solo), "--releases", str(releases), "--group-by", "releases",
+        "--min-faults", "1", "--format", "csv,json", "--out", str(out),
+    ] + (["--models", "GO", "--budget", "50"] if verb == "fit" else [])) == 0
+
+    with open(out / "skipped.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows == read_json(out / "report.json")["skipped"] == [
+        {"name": "solo:feb", "reason": "only 0 faults (min 1)"},
+        {"name": "solo:mar", "reason": reason},
+    ]
+
+
+def test_no_report_json_without_format_json(tmp_path, two_projects):
+    a, _ = two_projects
+    out = tmp_path / "trend"
+    assert main(["trend", "--issues", str(a), "--out", str(out)]) == 0
+    assert (out / "run_metadata.json").exists()
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("verb, args", [
+    ("ingest", ["--issues", "x.json"]),
+    ("trend", ["--issues", "x.ndjson"]),
+    ("fit", ["--issues", "x.ndjson"]),
+    ("compare", ["--fits", "fit"]),
+    ("rank", ["--fits", "fit"]),
+])
+def test_unknown_format_is_a_usage_error_before_any_output(tmp_path, capsys, verb, args):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *args, "--format", "csv,xml", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unknown output formats ['xml']" in capsys.readouterr().err
+    assert not out.exists()

@@ -55,6 +55,18 @@ def test_fetch_paginates_until_short_page():
     assert session.calls[0]["url"].endswith("/repos/owner/repo/issues")
 
 
+def test_fetch_drops_an_issue_repeated_across_pages():
+    # An issue created mid-walk shifts the listing by one, so page 2 opens
+    # with the last issue of page 1 again.
+    page1 = [entry(5, "2022-01-05T00:00:00Z"), entry(4, "2022-01-04T00:00:00Z"),
+             entry(3, "2022-01-03T00:00:00Z")]
+    page2 = [entry(3, "2022-01-03T00:00:00Z"), entry(2, "2022-01-02T00:00:00Z")]
+    session = FakeSession([FakeResponse(payload=page1), FakeResponse(payload=page2)])
+    records = fetch_issues("o/r", page_size=3, session=session)
+    assert [r.id for r in records] == [2, 3, 4, 5]
+    assert len(session.calls) == 2
+
+
 def test_fetch_single_full_stop_at_short_page():
     # An exactly full page forces one more request that comes back empty.
     session = FakeSession([

@@ -2,6 +2,7 @@
 # damped least-squares refinement.
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,15 @@ def test_fit_all_fits_from_a_draw_whose_rss_overflows():
     # a fit from the fallback draw, not a NaN placeholder
     assert result.params == tuple(start)
     assert result.rss == math.inf and not result.converged
+
+
+def test_fit_from_an_overflowing_draw_warns_nothing():
+    series, cfg = overflow_case()
+    with warnings.catch_warnings(), np.errstate(over="warn"):
+        warnings.simplefilter("error")
+        (result,) = fit_all(series, models=("DU",), cfg=cfg)
+    assert result.rss == math.inf and result.iterations_used == 1
+    assert result.gof.r2 == -math.inf
 
 
 def test_search_chunks_stay_under_the_element_cap(monkeypatch):

@@ -4,9 +4,12 @@
 # definitions; each docstring shows the arithmetic.
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from srgrowth.errors import ParameterDomainError
@@ -165,6 +168,32 @@ def test_mean_values_nondecreasing():
     for model, params in GENERIC_PARAMS.items():
         m = mean_value(model, params, t)
         assert np.all(np.diff(m) >= -1e-9), f"{model} decreased"
+
+
+@st.composite
+def models_in_their_search_box(draw):
+    """A model, parameters anywhere in its ``search_bounds`` box for some
+    series size, and sorted times from 0 up to 1e5."""
+    model = draw(st.sampled_from(MODEL_ORDER))
+    lo, hi = search_bounds(model, draw(st.integers(1, 10_000)))
+    params = [draw(st.floats(float(low), float(high))) for low, high in zip(lo, hi)]
+    times = draw(st.lists(st.floats(0.0, 1e5), max_size=50))
+    return model, params, np.sort([0.0, *times])
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=models_in_their_search_box())
+def test_mean_value_starts_at_zero_and_never_falls(case):
+    model, params, t = case
+    with np.errstate(over="raise", invalid="raise"):
+        m = mean_value(model, params, t)
+    assert m[0] == 0.0
+    assert np.all(np.isfinite(m))
+    # Up to one rounding of the scale: GOS's 1 - (1 + bt)e^(-bt) rounds
+    # within eps of 0 at tiny bt, and steps down by a*eps/2 there (found at
+    # a = 3, b = 1e-9).
+    tolerance = sys.float_info.epsilon * max(params[0], float(m.max()))
+    assert np.all(np.diff(m) >= -tolerance), f"{model} decreased"
 
 
 def test_vectorized_matches_scalar():

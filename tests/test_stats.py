@@ -1,6 +1,7 @@
 # Trend, comparison and ranking statistics against hand-derived oracles.
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +215,31 @@ def test_kruskal_wallis_invariant_under_permuting_groups(groups, data):
     # the per-group terms of H are the same numbers, summed in another order
     assert h_perm == pytest.approx(h, rel=1e-12, abs=1e-12)
     assert p_perm == pytest.approx(p, rel=1e-10, abs=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    groups=st.lists(
+        st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1e300]), st.integers(-20, 20).map(float)),
+                 min_size=1, max_size=40),
+        min_size=2,
+        max_size=9,
+    ).filter(lambda gs: sum(map(len, gs)) >= 3 and len({v for g in gs for v in g}) > 1)
+)
+def test_kruskal_wallis_matches_scipy(groups):
+    stats = pytest.importorskip("scipy.stats")
+    h, p = kruskal_wallis(groups)
+    ref = stats.kruskal(*groups)
+    # scipy forms 12/(N(N+1))*sum R_i^2/n_i - 3(N+1), which cancels to about
+    # eps*3(N+1), over the tie correction, where H is near 0; the
+    # sum-of-squares form does not, so it is compared down to that noise.
+    n = sum(map(len, groups))
+    ties = stats.tiecorrect(stats.rankdata(np.concatenate(groups)))
+    noise = 8 * 3 * (n + 1) * sys.float_info.epsilon / ties
+    assert h == pytest.approx(ref.statistic, rel=1e-12, abs=noise)
+    # near H = 0 the chi-square tail is too steep to take that noise, so p
+    # is checked against scipy's tail at this H
+    assert p == pytest.approx(stats.chi2.sf(h, len(groups) - 1), rel=1e-12)
 
 
 @pytest.mark.parametrize(
