@@ -67,14 +67,13 @@ from .reporting import (
     ranking_rows,
     read_gof_csv,
     read_json,
-    read_segments_csv,
     trend_row,
     unique_slugs,
     write_csv,
     write_json,
 )
 from .series import FailureSeries
-from .stats import GOF_METRICS, compare_groups, laplace_factor, rank_models
+from .stats import GOF_METRICS, compare_groups, laplace_factor, pool_scores, rank_models
 
 GROUPINGS = (
     "whole",
@@ -95,15 +94,19 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
+    created = not args.out.exists()
     try:
         args.out.mkdir(parents=True, exist_ok=True)  # every verb writes there
         return args.func(args)
     except (InputError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        error, status = exc, 2
     except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        error, status = exc, 3
+    # a failed verb leaves no empty directory of its own making behind
+    if created and args.out.is_dir() and not any(args.out.iterdir()):
+        args.out.rmdir()
+    print(f"error: {error}", file=sys.stderr)
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,14 +204,13 @@ def _write_meta(args, name: str, meta: dict, **results) -> None:
 
 
 def _ingest_sources(args):
-    """(stem, records, parse skip notes) per ``--issues`` file, then ``--repo``."""
+    """(stem, ParseResult) per ``--issues`` file, then ``--repo``."""
     for path in map(Path, args.issues):
-        parsed = parse_issues(path.read_bytes())
-        yield path.stem, parsed.records, parsed.skipped
+        yield path.stem, parse_issues(path.read_bytes())
     if args.repo:
         # --token first, then the first environment variable that is set
         token = args.token or next(filter(None, map(os.environ.get, TOKEN_ENV_VARS)), None)
-        yield args.repo.replace("/", "_"), fetch_issues(args.repo, auth_token=token), []
+        yield args.repo.replace("/", "_"), fetch_issues(args.repo, auth_token=token)
 
 
 def cmd_ingest(args) -> int:
@@ -216,7 +218,8 @@ def cmd_ingest(args) -> int:
         raise ValueError("ingest needs --issues files or --repo")
 
     summary: dict[str, dict] = {}
-    for stem, records, skipped in _ingest_sources(args):
+    for stem, parsed in _ingest_sources(args):
+        records, skipped = parsed.records, parsed.skipped
         matched = filter_defects(records, exclusions=frozenset(), include_title=args.title_match)
         # every kept record matches, so filtering the matches drops exactly the exclusions
         kept = filter_defects(matched, include_title=args.title_match)
@@ -447,27 +450,19 @@ def _load_fits(dirs) -> dict[str, list]:
     """Fit results of ``(path, label, fallback)`` directories by segment.
 
     Each series of ``path`` goes to ``label`` when one is given, else to the
-    segment its directory records for it, else to ``fallback``.  Segments
-    and their results keep the order in which they are first read.
+    segment that the ``series`` map of its ``run_metadata.json`` records,
+    else to ``fallback``.  Segments and their results keep the order in
+    which they are first read.
     """
     groups: dict[str, list] = {}
     for path, label, fallback in dirs:
         gof_path = path / "gof.csv"
         if not gof_path.exists():
             raise ValueError(f"{path} is not a fit output directory (no gof.csv)")
-        n_by_series: dict[str, int] = {}
-        recorded: dict[str, str] = {}
         meta_path = path / "run_metadata.json"
-        if meta_path.exists():
-            meta = read_json(meta_path)
-            for series, info in meta.get("series", {}).items():
-                n_by_series[series] = int(info.get("n", 0))
-                recorded[series] = str(info.get("segment", "all"))
-        segments_path = path / "segments.csv"
-        if segments_path.exists():
-            recorded.update(read_segments_csv(segments_path))
-        for series, result in read_gof_csv(gof_path, n_by_series):
-            segment = label or recorded.get(series) or fallback
+        recorded = read_json(meta_path).get("series", {}) if meta_path.exists() else {}
+        for series, result in read_gof_csv(gof_path):
+            segment = label or recorded.get(series, {}).get("segment") or fallback
             groups.setdefault(segment, []).append(result)
     return groups
 
@@ -485,14 +480,7 @@ def cmd_compare(args) -> int:
     summary_rows = []
     records = []
     for segment in segment_names:
-        # the finite values of every score, per model, in the order read
-        scores: dict[ModelId, dict[str, list[float]]] = {}
-        for result in by_segment[segment]:
-            pooled = scores.setdefault(result.model, {name: [] for name in GOF_METRICS})
-            for name in GOF_METRICS:
-                value = getattr(result.gof, name)
-                if math.isfinite(value):
-                    pooled[name].append(value)
+        scores = pool_scores(by_segment[segment])
         models = [m for m in MODEL_ORDER if scores.get(m, {}).get(metric)]
         if len(models) < 2:
             raise InsufficientDataError(

@@ -89,8 +89,6 @@ class FitResult:
     model: ModelId
     params: tuple[float, ...]
     rss: float
-    n: int
-    k: int
     converged: bool
     iterations_used: int
     gof: GofScores
@@ -392,8 +390,6 @@ def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
         model=mid,
         params=tuple(float(v) for v in p),
         rss=rss,
-        n=n,
-        k=k,
         converged=converged,
         iterations_used=iterations,
         gof=scores,
@@ -405,15 +401,12 @@ def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _failure_result(model: ModelId, series: FailureSeries) -> FitResult:
-    k = descriptor(model).k
+def _failure_result(model: ModelId) -> FitResult:
     nan = float("nan")
     return FitResult(
         model=model,
-        params=(nan,) * k,
+        params=(nan,) * descriptor(model).k,
         rss=nan,
-        n=series.n,
-        k=k,
         converged=False,
         iterations_used=0,
         gof=GofScores(nan, nan, nan, nan),
@@ -447,6 +440,6 @@ def fit_all(
         try:
             return fit_one(mid, series, cfg)
         except SrgrowthError:
-            return _failure_result(mid, series)
+            return _failure_result(mid)
 
     return [one(m) for m in ordered]

@@ -49,6 +49,9 @@ RATE_UPPER = 1e3
 ASYMPTOTE_SCALE = 100.0
 
 
+# The members' order is the canonical presentation order (concave pair,
+# finite-over-infinite families as usually tabulated); batch fitting and
+# reports follow it as ``MODEL_ORDER``.
 class ModelId(str, Enum):
     GO = "GO"
     GOS = "GOS"
@@ -144,19 +147,7 @@ _DESCRIPTORS: dict[ModelId, ModelDescriptor] = {
     ),
 }
 
-# Canonical presentation order (concave pair, finite-over-infinite families
-# as usually tabulated).  Batch fitting and reports follow it.
-MODEL_ORDER: tuple[ModelId, ...] = (
-    ModelId.GO,
-    ModelId.GOS,
-    ModelId.HD,
-    ModelId.MO,
-    ModelId.DU,
-    ModelId.WE,
-    ModelId.YE,
-    ModelId.YR,
-    ModelId.LL,
-)
+MODEL_ORDER: tuple[ModelId, ...] = tuple(ModelId)
 
 
 def descriptor(model: ModelId | str) -> ModelDescriptor:

@@ -39,6 +39,8 @@ DEFECT_KEYWORDS = frozenset({"bug", "error", "fail", "fault", "defect"})
 EXCLUSION_KEYWORDS = frozenset({"duplicat"})
 
 DEFAULT_MIN_FAULTS = 20
+# rate-limit sleeps a fetch takes before it gives up
+RATE_LIMIT_WAITS = 3
 
 ATTRIBUTE_METRICS = ("LOC", "NOC", "NOI", "NOFA")
 # lower/upper cut of the middle (M) class; boundary values are M
@@ -248,17 +250,17 @@ def fetch_issues(
     session=None,
     sleep=_time.sleep,
     base_url: str = "https://api.github.com",
-    max_rate_limit_waits: int = 3,
-) -> list[IssueRecord]:
+) -> ParseResult:
     """Fetch all issues of ``owner/name`` from the tracker's REST listing.
 
     Walks the paginated endpoint, converts entries to ``IssueRecord``
-    (pull requests are skipped), and honours rate limiting by sleeping
-    until the advertised reset before retrying.  Raises
-    ``UnknownRepoError`` on 404, ``RateLimitError`` once the wait budget
-    is exhausted, and ``NetworkError`` for transport failures and other
-    unexpected statuses.  ``session`` and ``sleep`` are injectable for
-    testing.
+    (pull requests are skipped) and, as ``parse_issues`` does, notes each
+    malformed or repeated entry it drops.  It honours rate limiting by
+    sleeping until the advertised reset before retrying.  Raises
+    ``UnknownRepoError`` on 404, ``RateLimitError`` after
+    ``RATE_LIMIT_WAITS`` waits, and ``NetworkError`` for transport
+    failures and other unexpected statuses.  ``session`` and ``sleep`` are
+    injectable for testing.
     """
     import requests  # only fetching needs it; keep the CLI's start-up light
 
@@ -287,10 +289,10 @@ def fetch_issues(
             delay = _rate_limit_delay(response.headers)
             if delay is None:
                 raise NetworkError(f"HTTP {status} fetching {repo_slug} page {page}")
-            if waits >= max_rate_limit_waits:
+            if waits >= RATE_LIMIT_WAITS:
                 raise RateLimitError(
                     f"rate limit on {repo_slug} persisted after "
-                    f"{max_rate_limit_waits} waits; retry after {delay:.0f}s"
+                    f"{RATE_LIMIT_WAITS} waits; retry after {delay:.0f}s"
                 )
             waits += 1
             sleep(delay)
@@ -318,7 +320,7 @@ def fetch_issues(
 
     # an issue created mid-walk shifts the listing, so a page can repeat
     # the last item of the page before it
-    return _unique_sorted(records, skipped)
+    return ParseResult(records=_unique_sorted(records, skipped), skipped=skipped)
 
 
 def _rate_limit_delay(headers) -> float | None:
@@ -344,28 +346,26 @@ def _rate_limit_delay(headers) -> float | None:
 
 def filter_defects(
     issues: Iterable[IssueRecord],
-    keywords: frozenset[str] | set[str] = DEFECT_KEYWORDS,
     exclusions: frozenset[str] | set[str] = EXCLUSION_KEYWORDS,
     include_title: bool = False,
 ) -> list[IssueRecord]:
     """Keep issues labeled as defects and drop duplicates.
 
-    An issue qualifies when any label contains any keyword
+    An issue qualifies when any label contains any of ``DEFECT_KEYWORDS``
     (case-insensitive substring), unless a label also contains an
     exclusion term.  ``include_title`` extends the keyword matching (not
     the exclusions) to the issue title.  The filter is idempotent.
     """
-    kws = {k.lower() for k in keywords}
     excl = {e.lower() for e in exclusions}
     kept = []
     for issue in issues:
         lowered = [label.lower() for label in issue.labels]
         if any(e in label for e in excl for label in lowered):
             continue
-        matched = any(k in label for k in kws for label in lowered)
+        matched = any(k in label for k in DEFECT_KEYWORDS for label in lowered)
         if not matched and include_title:
             title = issue.title.lower()
-            matched = any(k in title for k in kws)
+            matched = any(k in title for k in DEFECT_KEYWORDS)
         if matched:
             kept.append(issue)
     return kept

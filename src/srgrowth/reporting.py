@@ -160,11 +160,11 @@ def ranking_rows(table: RankingTable) -> list[list]:
     return [[model, *(table.ranks[s][model] for s in table.segments)] for model in ordered]
 
 
-def read_gof_csv(path: Path, n_by_series: dict[str, int] | None = None) -> list[tuple[str, FitResult]]:
+def read_gof_csv(path: Path) -> list[tuple[str, FitResult]]:
     """Read a gof.csv back into (series, FitResult) pairs.
 
-    The observation count is not part of the table; it is restored from
-    ``n_by_series`` (as recorded in run metadata) and defaults to 0.
+    gof.csv does not hold the iteration count, so ``iterations_used``
+    reads as 0.
     """
     out: list[tuple[str, FitResult]] = []
     with open(path, newline="", encoding="utf-8") as handle:
@@ -173,15 +173,10 @@ def read_gof_csv(path: Path, n_by_series: dict[str, int] | None = None) -> list[
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
         for row in reader:
-            params = tuple(float(row[c]) for c in ("a", "b", "c") if row[c] != "")
-            label = row["series"]
-            n = (n_by_series or {}).get(label, 0)
             result = FitResult(
                 model=ModelId(row["model"]),
-                params=params,
+                params=tuple(float(row[c]) for c in ("a", "b", "c") if row[c] != ""),
                 rss=float(row["rss"]),
-                n=n,
-                k=len(params),
                 converged=row["converged"] == "true",
                 iterations_used=0,
                 gof=GofScores(
@@ -191,16 +186,7 @@ def read_gof_csv(path: Path, n_by_series: dict[str, int] | None = None) -> list[
                     rse=float(row["rse"]),
                 ),
             )
-            out.append((label, result))
-    return out
-
-
-def read_segments_csv(path: Path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            out[row["series"]] = row["segment"]
+            out.append((row["series"], result))
     return out
 
 

@@ -281,8 +281,18 @@ def compare_groups(labels: Sequence[str], groups: Sequence[Iterable[float]]) -> 
 # ---------------------------------------------------------------------------
 
 
-def _metric_of(result: FitResult, metric: str) -> float:
-    return getattr(result.gof, metric)
+def pool_scores(results: Iterable[FitResult]) -> dict[ModelId, dict[str, list[float]]]:
+    """The finite values of every score in ``GOF_METRICS``, per model, in the
+    order read.  A model whose values of a score are all non-finite still
+    appears, with an empty list for that score."""
+    scores: dict[ModelId, dict[str, list[float]]] = {}
+    for result in results:
+        pooled = scores.setdefault(result.model, {name: [] for name in GOF_METRICS})
+        for name in GOF_METRICS:
+            value = getattr(result.gof, name)
+            if math.isfinite(value):
+                pooled[name].append(value)
+    return scores
 
 
 def rank_models(
@@ -302,22 +312,16 @@ def rank_models(
         raise InsufficientDataError("no segments to rank")
 
     segments = tuple(results.keys())
-    model_set: set[ModelId] = set()
-    for seg_results in results.values():
-        model_set.update(r.model for r in seg_results)
-    if not model_set:
+    pooled = {segment: pool_scores(results[segment]) for segment in segments}
+    models = tuple(m for m in MODEL_ORDER if any(m in scores for scores in pooled.values()))
+    if not models:
         raise InsufficientDataError("no fit results to rank")
-    models = tuple(m for m in MODEL_ORDER if m in model_set)
 
     means: dict[str, dict[ModelId, float]] = {}
     for segment in segments:
         seg_means: dict[ModelId, float] = {}
         for model in models:
-            values = [
-                _metric_of(r, metric)
-                for r in results[segment]
-                if r.model == model and math.isfinite(_metric_of(r, metric))
-            ]
+            values = pooled[segment].get(model, {}).get(metric)
             if not values:
                 raise SegmentCoverageError(
                     f"model {model} has no finite {metric} values in segment {segment!r}"

@@ -141,12 +141,13 @@ def test_ingest_repo_token_precedence(
             monkeypatch.delenv(name, raising=False)
         else:
             monkeypatch.setenv(name, value)
-    fetched = srgrowth.parse_issues(write_issues(tmp_path / "remote.json", 12).read_bytes()).records
+    records = srgrowth.parse_issues(write_issues(tmp_path / "remote.json", 12).read_bytes()).records
+    notes = ["page 1 item 3: missing created_at", "id 7: duplicate id, keeping first occurrence"]
     calls = []
 
     def fake_fetch(slug, auth_token=None):
         calls.append((slug, auth_token))
-        return fetched
+        return srgrowth.ParseResult(records=records, skipped=notes)
 
     monkeypatch.setattr("srgrowth.cli.fetch_issues", fake_fetch)
     local = write_issues(tmp_path / "local.json", 5)
@@ -157,8 +158,10 @@ def test_ingest_repo_token_precedence(
     assert calls == [("owner/name", expected)]
     printed = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in printed] == ["local", "owner_name"]  # files first
-    stats = read_json(out / "summary.json")["inputs"]["owner_name"]
-    assert stats["parse_skipped"] == 0 and stats["parse_skip_notes"] == []
+    inputs = read_json(out / "summary.json")["inputs"]
+    assert inputs["local"]["parse_skipped"] == 0 and inputs["local"]["parse_skip_notes"] == []
+    stats = inputs["owner_name"]
+    assert stats["parse_skipped"] == 2 and stats["parse_skip_notes"] == notes
     assert stats["total"] == stats["kept"] == 12 and stats["output"] == "owner_name.ndjson"
     assert len((out / "owner_name.ndjson").read_text().splitlines()) == 12
 
@@ -421,6 +424,48 @@ def test_compare_single_series_per_segment_exits_three(tmp_path, two_projects):
                  "--out", str(tmp_path / "cmp")]) == 3
 
 
+def fit_by_domain(tmp_path, two_projects, categories):
+    """A --group-by domain fit of both projects in ``categories``."""
+    attrs = tmp_path / "attrs.csv"
+    attrs.write_text("project,category,loc,noc,noi,nofa\n"
+                     f"alpha,{categories[0]},5000,50,400,200\n"
+                     f"beta,{categories[1]},50000,150,3000,1000\n")
+    out = tmp_path / "fd"
+    assert main(["fit", "--issues", *map(str, two_projects), "--attributes", str(attrs),
+                 "--group-by", "domain", "--budget", "300", "--out", str(out)]) == 0
+    return out
+
+
+def test_compare_pools_under_the_recorded_segment(tmp_path, two_projects):
+    fits = fit_by_domain(tmp_path, two_projects, ("C1", "C1"))
+    argv = ["compare", "--fits", str(fits), "--format", "csv,json"]
+    assert main(argv + ["--out", str(tmp_path / "cmp")]) == 0
+    assert read_json(tmp_path / "cmp" / "run_metadata.json")["segments"] == ["C1"]
+
+    # run_metadata.json is the only segment source; segments.csv is not read
+    (fits / "segments.csv").unlink()
+    assert main(argv + ["--out", str(tmp_path / "cmp2")]) == 0
+    assert tree_digest(tmp_path / "cmp") == tree_digest(tmp_path / "cmp2")
+
+
+def test_rank_has_a_column_per_recorded_segment(tmp_path, two_projects):
+    fits = fit_by_domain(tmp_path, two_projects, ("C1", "C2"))
+    out = tmp_path / "rank"
+    assert main(["rank", "--fits", str(fits), "--out", str(out)]) == 0
+    header = (out / "ranking.csv").read_bytes().decode("utf-8").split("\r\n")[0]
+    assert header == "model,C1,C2"
+
+
+def test_fits_without_metadata_fall_back(tmp_path, two_projects):
+    fits = fit_by_domain(tmp_path, two_projects, ("C1", "C2"))
+    (fits / "run_metadata.json").unlink()
+    assert main(["compare", "--fits", str(fits), "--out", str(tmp_path / "cmp")]) == 0
+    assert read_json(tmp_path / "cmp" / "run_metadata.json")["segments"] == ["all"]
+    assert main(["rank", "--fits", str(fits), "--out", str(tmp_path / "rank")]) == 0
+    header = (tmp_path / "rank" / "ranking.csv").read_bytes().decode("utf-8").split("\r\n")[0]
+    assert header == f"model,{fits.name}"
+
+
 def test_compare_missing_fit_dir_exits_two(tmp_path):
     assert main(["compare", "--fits", str(tmp_path / "void"),
                  "--out", str(tmp_path / "cmp")]) == 2
@@ -521,6 +566,31 @@ def test_no_report_json_without_format_json(tmp_path, two_projects):
     assert main(["trend", "--issues", str(a), "--out", str(out)]) == 0
     assert (out / "run_metadata.json").exists()
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("verb, args", [
+    ("fit", ["--models", "XX"]),
+    ("trend", ["--group-by", "releases"]),
+    ("ingest", []),
+])
+def test_failed_verb_removes_the_out_dir_it_made(tmp_path, two_projects, verb, args):
+    issues = [] if verb == "ingest" else ["--issues", str(two_projects[0])]
+    fresh, existing = tmp_path / "fresh" / "out", tmp_path / "existing"
+    existing.mkdir()
+    for out in (fresh, existing):
+        assert main([verb, *issues, *args, "--out", str(out)]) == 2
+    assert not fresh.exists()
+    assert existing.is_dir()  # it was there before the run
+
+
+def test_failed_verb_keeps_an_out_dir_it_wrote_to(tmp_path, two_projects, monkeypatch):
+    def failing_fit(*args, **kwargs):
+        raise ValueError("fit failed")
+
+    monkeypatch.setattr("srgrowth.cli.fit_all", failing_fit)
+    out = tmp_path / "fit"
+    assert main(["fit", "--issues", str(two_projects[0]), "--out", str(out)]) == 2
+    assert (out / "curves").is_dir()
 
 
 @pytest.mark.parametrize("verb, args", [

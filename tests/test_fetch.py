@@ -48,7 +48,7 @@ def test_fetch_paginates_until_short_page():
     page1 = [entry(i) for i in range(3)]
     page2 = [entry(10)]
     session = FakeSession([FakeResponse(payload=page1), FakeResponse(payload=page2)])
-    records = fetch_issues("owner/repo", page_size=3, session=session)
+    records = fetch_issues("owner/repo", page_size=3, session=session).records
     assert len(records) == 4
     assert [c["params"]["page"] for c in session.calls] == [1, 2]
     assert session.calls[0]["params"]["per_page"] == 3
@@ -62,9 +62,21 @@ def test_fetch_drops_an_issue_repeated_across_pages():
              entry(3, "2022-01-03T00:00:00Z")]
     page2 = [entry(3, "2022-01-03T00:00:00Z"), entry(2, "2022-01-02T00:00:00Z")]
     session = FakeSession([FakeResponse(payload=page1), FakeResponse(payload=page2)])
-    records = fetch_issues("o/r", page_size=3, session=session)
-    assert [r.id for r in records] == [2, 3, 4, 5]
+    fetched = fetch_issues("o/r", page_size=3, session=session)
+    assert [r.id for r in fetched.records] == [2, 3, 4, 5]
+    assert fetched.skipped == ["id 3: duplicate id, keeping first occurrence"]
     assert len(session.calls) == 2
+
+
+def test_fetch_notes_malformed_and_repeated_items():
+    payload = [entry(1), entry(2, created_at=None), entry(1)]
+    session = FakeSession([FakeResponse(payload=payload)])
+    fetched = fetch_issues("o/r", page_size=50, session=session)
+    assert [r.id for r in fetched.records] == [1]
+    assert fetched.skipped == [
+        "page 1 item 1: missing created_at",
+        "id 1: duplicate id, keeping first occurrence",
+    ]
 
 
 def test_fetch_single_full_stop_at_short_page():
@@ -73,7 +85,7 @@ def test_fetch_single_full_stop_at_short_page():
         FakeResponse(payload=[entry(1), entry(2)]),
         FakeResponse(payload=[]),
     ])
-    records = fetch_issues("o/r", page_size=2, session=session)
+    records = fetch_issues("o/r", page_size=2, session=session).records
     assert len(records) == 2
     assert len(session.calls) == 2
 
@@ -81,7 +93,7 @@ def test_fetch_single_full_stop_at_short_page():
 def test_fetch_skips_pull_requests():
     payload = [entry(1), entry(2, pull_request={"url": "..."}), entry(3)]
     session = FakeSession([FakeResponse(payload=payload)])
-    records = fetch_issues("o/r", page_size=50, session=session)
+    records = fetch_issues("o/r", page_size=50, session=session).records
     assert [r.id for r in records] == [1, 3]
 
 
@@ -109,7 +121,7 @@ def test_fetch_rate_limit_waits_then_succeeds():
         FakeResponse(status_code=403, headers={"Retry-After": "7"}),
         FakeResponse(payload=[entry(1)]),
     ])
-    records = fetch_issues("o/r", session=session, sleep=sleeps.append)
+    records = fetch_issues("o/r", session=session, sleep=sleeps.append).records
     assert [r.id for r in records] == [1]
     assert sleeps == [7.0]
     # the retry re-requests the same page
@@ -138,8 +150,7 @@ def test_fetch_rate_limit_budget_exhausted():
     session = FakeSession(responses)
     sleeps = []
     with pytest.raises(RateLimitError):
-        fetch_issues("o/r", session=session, sleep=sleeps.append,
-                     max_rate_limit_waits=3)
+        fetch_issues("o/r", session=session, sleep=sleeps.append)
     assert len(sleeps) == 3
 
 
@@ -181,5 +192,5 @@ def test_fetch_sorts_across_pages():
                               entry(4, "2022-01-15T00:00:00Z")]),
         FakeResponse(payload=[entry(1, "2022-01-01T00:00:00Z")]),
     ])
-    records = fetch_issues("o/r", page_size=2, session=session)
+    records = fetch_issues("o/r", page_size=2, session=session).records
     assert [r.id for r in records] == [1, 4, 5]

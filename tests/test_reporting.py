@@ -10,7 +10,6 @@ from srgrowth.models import ModelId, mean_value
 from srgrowth.reporting import (
     FORMULA_VARIANTS,
     GOF_COLUMNS,
-    SEGMENT_COLUMNS,
     TREND_COLUMNS,
     base_metadata,
     fmt_float,
@@ -19,7 +18,6 @@ from srgrowth.reporting import (
     ranking_rows,
     read_gof_csv,
     read_json,
-    read_segments_csv,
     slugify,
     trend_row,
     unique_slugs,
@@ -30,11 +28,10 @@ from srgrowth.series import FailureSeries
 from srgrowth.stats import RankingTable, laplace_factor
 
 
-def result_of(model="GO", params=(10.0, 0.5), rss=1.5, n=30, converged=True):
-    k = len(params)
+def result_of(model="GO", params=(10.0, 0.5), rss=1.5, converged=True):
     gof = GofScores(r2=0.9, aic=-12.5, bic=-10.0, rse=0.25)
     return FitResult(model=ModelId(model), params=tuple(params), rss=rss,
-                     n=n, k=k, converged=converged, iterations_used=7, gof=gof)
+                     converged=converged, iterations_used=7, gof=gof)
 
 
 def test_fmt_float_round_trips_exactly():
@@ -95,7 +92,7 @@ def test_gof_csv_round_trip(tmp_path):
                          rss=float("nan"), converged=False)),
     ]
     write_gof(path, rows)
-    back = read_gof_csv(path, n_by_series={"p1": 30, "p2": 30})
+    back = read_gof_csv(path)
     assert len(back) == 3
     for (label_a, res_a), (label_b, res_b) in zip(rows, back):
         assert label_a == label_b
@@ -106,14 +103,7 @@ def test_gof_csv_round_trip(tmp_path):
         assert (math.isnan(res_a.rss) and math.isnan(res_b.rss)) or (
             res_a.rss == res_b.rss
         )
-        assert res_a.n == res_b.n
-
-
-def test_gof_csv_read_without_metadata_defaults_n_zero(tmp_path):
-    path = tmp_path / "gof.csv"
-    write_gof(path, [("p", result_of())])
-    (pair,) = read_gof_csv(path)
-    assert pair[1].n == 0
+        assert res_b.iterations_used == 0  # gof.csv does not hold it
 
 
 def test_curve_csv_blank_for_failed_models(tmp_path):
@@ -139,12 +129,6 @@ def test_trend_csv_layout(tmp_path):
     lines = csv_lines(path)
     assert lines[0] == "series,n,horizon_days,laplace_u,growth_significant"
     assert lines[1] == "s,3,4,0,false"
-
-
-def test_segments_csv_round_trip(tmp_path):
-    path = tmp_path / "segments.csv"
-    write_csv(path, SEGMENT_COLUMNS, [("p1", "C3"), ("p2", "S")])
-    assert read_segments_csv(path) == {"p1": "C3", "p2": "S"}
 
 
 def test_write_json_is_deterministic(tmp_path):
@@ -181,7 +165,7 @@ def test_gof_csv_survives_fit_results_end_to_end(tmp_path):
     results = fit_all(series, models=("GO", "MO"), cfg=FitConfig(search_budget=400))
     path = tmp_path / "gof.csv"
     write_gof(path, [(series.label, r) for r in results])
-    back = read_gof_csv(path, n_by_series={"sim": series.n})
+    back = read_gof_csv(path)
     assert [r.model for _, r in back] == [ModelId.GO, ModelId.MO]
     for (_, original), (_, restored) in zip(
         [(series.label, r) for r in results], back

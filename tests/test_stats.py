@@ -22,6 +22,7 @@ from srgrowth.stats import (
     inter_rater_agreement,
     kruskal_wallis,
     laplace_factor,
+    pool_scores,
     rank_models,
 )
 
@@ -388,7 +389,7 @@ def test_compare_groups_label_count_must_match():
 def fabricate(model, r2=float("nan"), aic=float("nan")):
     gof = GofScores(r2=r2, aic=aic, bic=aic, rse=1.0)
     return FitResult(
-        model=ModelId(model), params=(1.0, 1.0), rss=1.0, n=30, k=2,
+        model=ModelId(model), params=(1.0, 1.0), rss=1.0,
         converged=True, iterations_used=3, gof=gof,
     )
 
@@ -426,6 +427,25 @@ def test_rank_models_breaks_ties_alphabetically():
     assert table.ranks["seg"][ModelId.DU] == 1
     assert table.ranks["seg"][ModelId.GO] == 2
     assert table.ranks["seg"][ModelId.LL] == 3
+
+
+def test_pool_scores_drops_nan_and_keeps_read_order():
+    nan = float("nan")
+    failed = FitResult(model=ModelId.LL, params=(nan,) * 3, rss=nan, converged=False,
+                       iterations_used=0, gof=GofScores(nan, nan, nan, nan))
+    pooled = pool_scores([
+        fabricate("MO", r2=0.5, aic=3.0),
+        fabricate("GO", r2=0.9),
+        failed,
+        fabricate("MO", r2=nan, aic=1.0),
+        fabricate("MO", r2=0.7, aic=2.0),
+    ])
+    assert list(pooled) == [ModelId.MO, ModelId.GO, ModelId.LL]  # first read first
+    assert pooled[ModelId.MO] == {
+        "r2": [0.5, 0.7], "aic": [3.0, 1.0, 2.0], "bic": [3.0, 1.0, 2.0], "rse": [1.0] * 3,
+    }
+    assert pooled[ModelId.GO] == {"r2": [0.9], "aic": [], "bic": [], "rse": [1.0]}
+    assert pooled[ModelId.LL] == {"r2": [], "aic": [], "bic": [], "rse": []}
 
 
 def test_rank_models_ignores_nan_and_requires_coverage():
