@@ -94,7 +94,8 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
-    created = not args.out.exists()
+    # --out and each missing parent that mkdir makes for it, innermost first
+    made = [path for path in (args.out, *args.out.parents) if not path.exists()]
     try:
         args.out.mkdir(parents=True, exist_ok=True)  # every verb writes there
         return args.func(args)
@@ -103,8 +104,11 @@ def main(argv=None) -> int:
     except AnalysisError as exc:
         error, status = exc, 3
     # a failed verb leaves no empty directory of its own making behind
-    if created and args.out.is_dir() and not any(args.out.iterdir()):
-        args.out.rmdir()
+    for path in made:
+        if path.is_dir():
+            if any(path.iterdir()):
+                break
+            path.rmdir()
     print(f"error: {error}", file=sys.stderr)
     return status
 
@@ -451,8 +455,10 @@ def _load_fits(dirs) -> dict[str, list]:
 
     Each series of ``path`` goes to ``label`` when one is given, else to the
     segment that the ``series`` map of its ``run_metadata.json`` records,
-    else to ``fallback``.  Segments and their results keep the order in
-    which they are first read.
+    else to ``fallback``.  An ungrouped fit (``grouping`` ``whole``) records
+    ``all`` for every series, which says nothing, so its series go to
+    ``fallback`` too.  Segments and their results keep the order in which
+    they are first read.
     """
     groups: dict[str, list] = {}
     for path, label, fallback in dirs:
@@ -460,7 +466,8 @@ def _load_fits(dirs) -> dict[str, list]:
         if not gof_path.exists():
             raise ValueError(f"{path} is not a fit output directory (no gof.csv)")
         meta_path = path / "run_metadata.json"
-        recorded = read_json(meta_path).get("series", {}) if meta_path.exists() else {}
+        meta = read_json(meta_path) if meta_path.exists() else {}
+        recorded = meta.get("series", {}) if meta.get("grouping") != "whole" else {}
         for series, result in read_gof_csv(gof_path):
             segment = label or recorded.get(series, {}).get("segment") or fallback
             groups.setdefault(segment, []).append(result)

@@ -11,12 +11,16 @@ is recorded on the result, never raised.
 
 The search screens each chunk of draws in two stages.  Once an earlier
 chunk has set a finite best RSS, it drops every draw whose squared residual
-at the last observation exceeds that RSS; the rest it scores on at most 8
-fixed time points, and it scores in full only the draws whose partial RSS
-does not exceed the best full RSS seen so far.  A partial RSS is a sum over
-a subset of the same nonnegative squared residuals, so a screened-out
-draw's full RSS is larger than a draw already scored and the search
-returns exactly the draw an exhaustive scoring would.
+at the last observation exceeds that RSS.  It evaluates the rest at no more
+than 8 fixed observations, the first and the last among them, and scores
+in full only the draws whose lower bound from those points does not exceed
+the best full RSS seen so far.  The bound sums the squared residuals at
+the 8 points and, for each point between two of them, the square of the
+distance from the range of m at those two points to the range of the
+counts between them: m(t) is nondecreasing and the times are sorted, so
+the point's residual is at least that distance.  A screened-out draw's
+full RSS is therefore larger than that of a draw already scored, and the
+search returns exactly the draw an exhaustive scoring would.
 
 Goodness of fit is summarised four ways per fit:
 
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,26 +169,86 @@ def _rss(kernel, candidates, t, y) -> np.ndarray:
     return np.einsum("ij,ij->i", r, r)
 
 
-def _screen(kernel, candidates, t, y, t_sel, y_sel, best_rss, slack) -> np.ndarray:
-    # A partial RSS over some of the points bounds each candidate's full RSS
-    # from below (up to summation rounding, which ``slack`` covers), so a
-    # candidate whose partial RSS already exceeds the best full RSS in sight
-    # cannot be the first minimum.  A non-finite partial RSS means a
-    # non-finite full RSS, which never wins either.
+class _Screen(NamedTuple):
+    """A series' screen points and the points between each pair of them."""
+
+    t: np.ndarray  # times of the screen points
+    y: np.ndarray  # counts at the screen points
+    count: np.ndarray  # points strictly between screen points j and j + 1
+    y_lo: np.ndarray  # least count among them, -inf when there are none
+    y_hi: np.ndarray  # greatest count among them, +inf when there are none
+    slack: float  # relative rounding an n-point RSS may carry
+
+
+def _screen_points(t, y) -> _Screen:
+    # The first and the last index are always screen points, and with
+    # n <= 8 points every point is one, so no point lies between them.
+    sel = np.unique(np.round(np.linspace(0, t.size - 1, _SCREEN_POINTS)).astype(np.intp))
+    between = [y[i + 1 : j] for i, j in zip(sel[:-1], sel[1:])]
+    return _Screen(
+        t=t[sel],
+        y=y[sel],
+        count=np.array([b.size for b in between], dtype=float),
+        y_lo=np.array([b.min() if b.size else -math.inf for b in between]),
+        y_hi=np.array([b.max() if b.size else math.inf for b in between]),
+        slack=1.0 + 4.0 * t.size * np.finfo(float).eps,
+    )
+
+
+# Every model's m(t) is nondecreasing in t up to a rounding of
+# eps·(p[..., 0] + m), where p[..., 0] is the scale a or α: GOS falls by up
+# to 1.5 times that at tiny b·t and the other kernels never fall
+# (tests/test_models.py checks eps·max(a, m)).  The envelope widens each
+# interval by this many times that rounding.
+_MONOTONE_ULPS = 16.0
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _envelope(candidates, m, screen: _Screen) -> np.ndarray:
+    """What the points between the screen points add to each candidate's RSS
+    at least, given its mean values ``m`` at the screen points.
+
+    A point strictly between screen points j and j + 1 has m(t) within
+    [m_j, m_j+1], because m is nondecreasing and the times are sorted, so
+    its residual is at least the distance from that range to the range of
+    the counts there.  An overflow makes the sum infinite.
+    """
+    m_lo, m_hi = m[:, :-1], m[:, 1:]
+    tol = _MONOTONE_ULPS * np.finfo(float).eps * (candidates[:, :1] + np.abs(m_hi))
+    gap = np.maximum(np.maximum(screen.y_lo - m_hi, m_lo - screen.y_hi) - tol, 0.0)
+    return np.square(gap) @ screen.count
+
+
+def _screen(kernel, candidates, t, y, screen: _Screen, best_rss) -> np.ndarray:
+    # The screen bound lies below each candidate's full RSS (up to
+    # summation rounding, which ``screen.slack`` covers), so a candidate
+    # whose bound already exceeds the best full RSS in sight cannot be the
+    # first minimum.  A non-finite bound comes with a non-finite full RSS,
+    # which never wins either.
     if math.isfinite(best_rss):
         # The last point carries the largest count, so most draws miss it by
         # more than the best RSS of the earlier chunks; the comparison also
         # drops a NaN or infinite one-point RSS.
-        candidates = candidates[_rss(kernel, candidates, t[-1:], y[-1:]) <= best_rss * slack]
+        one_point = _rss(kernel, candidates, t[-1:], y[-1:])
+        candidates = candidates[one_point <= best_rss * screen.slack]
         if candidates.shape[0] == 0:
             return candidates
-    partial = _rss(kernel, candidates, t_sel, y_sel)
-    finite = np.isfinite(partial)
-    lead = int(np.argmin(np.where(finite, partial, math.inf)))
+    m = kernel(candidates, screen.t)
+    r = m - screen.y
+    partial = np.einsum("ij,ij->i", r, r)
+    # The partial RSS over the screen points alone is a bound as well, and a
+    # cheaper one; the envelope is added only for the draws it keeps.
+    keep = partial <= best_rss * screen.slack
+    candidates = candidates[keep]
+    if candidates.shape[0] == 0:
+        return candidates
+    bound = partial[keep] + _envelope(candidates, m[keep], screen)
+    finite = np.isfinite(bound)
+    lead = int(np.argmin(np.where(finite, bound, math.inf)))
     lead_rss = float(_rss(kernel, candidates[lead : lead + 1], t, y)[0])
     if math.isfinite(lead_rss):
         best_rss = min(best_rss, lead_rss)
-    return candidates[finite & (partial <= best_rss * slack)]
+    return candidates[finite & (bound <= best_rss * screen.slack)]
 
 
 def _draws(mid: ModelId, series: FailureSeries, cfg: FitConfig):
@@ -209,20 +274,15 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
     """
     mid = ModelId(model)
     _require_enough_points(mid, series)
-    n = series.n
     t = series.times
     y = series.cumulative
     kernel = _KERNELS[mid]
-    # with n <= 8 points every point is a screen point, and the partial RSS
-    # is the full one
-    sel = np.unique(np.round(np.linspace(0, n - 1, _SCREEN_POINTS)).astype(np.intp))
-    t_sel, y_sel = t[sel], y[sel]
-    slack = 1.0 + 4.0 * n * np.finfo(float).eps
+    screen = _screen_points(t, y)
 
     best_rss = math.inf
     best: np.ndarray | None = None
     for candidates in _draws(mid, series, cfg):
-        candidates = _screen(kernel, candidates, t, y, t_sel, y_sel, best_rss, slack)
+        candidates = _screen(kernel, candidates, t, y, screen, best_rss)
         if candidates.shape[0] == 0:
             continue
         rss = _rss(kernel, candidates, t, y)

@@ -489,6 +489,22 @@ def test_rank_accepts_labeled_fit_dirs(tmp_path, two_projects, capsys):
     assert meta["ira_percent"] is not None
 
 
+def test_rank_puts_each_ungrouped_fit_dir_in_its_own_segment(tmp_path, two_projects):
+    dirs = []
+    for issues, name in zip(two_projects, ("fa", "fb")):
+        dirs.append(tmp_path / name)
+        assert main(["fit", "--issues", str(issues), "--budget", "300",
+                     "--out", str(dirs[-1])]) == 0
+    out = tmp_path / "rank"
+    assert main(["rank", "--fits", *map(str, dirs), "--out", str(out)]) == 0
+    meta = read_json(out / "run_metadata.json")
+    assert meta["segments"] == ["fa", "fb"]
+    assert isinstance(meta["ira_percent"], float)
+    # compare pools the same ungrouped fits under one segment
+    assert main(["compare", "--fits", *map(str, dirs), "--out", str(tmp_path / "cmp")]) == 0
+    assert read_json(tmp_path / "cmp" / "run_metadata.json")["segments"] == ["all"]
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -579,7 +595,7 @@ def test_failed_verb_removes_the_out_dir_it_made(tmp_path, two_projects, verb, a
     existing.mkdir()
     for out in (fresh, existing):
         assert main([verb, *issues, *args, "--out", str(out)]) == 2
-    assert not fresh.exists()
+    assert not fresh.parent.exists()  # nor the parent made for it
     assert existing.is_dir()  # it was there before the run
 
 

@@ -1,6 +1,7 @@
 # Tests for the two-stage fitting engine: seeded random search plus
 # damped least-squares refinement.
 
+import itertools
 import math
 import warnings
 
@@ -132,7 +133,11 @@ def brute_search(model, series, cfg):
 
 @st.composite
 def search_cases(draw):
-    n = draw(st.integers(2, 400))
+    """Short series at budgets around the chunk size, or long ones at
+    budgets where the screen's envelope bound decides which draws are
+    scored in full."""
+    long = draw(st.booleans())
+    n = draw(st.integers(9, 3000) if long else st.integers(2, 400))
     low = draw(st.floats(-4.0, 2.0))
     high = low + draw(st.floats(0.0, 6.0))
     log_t = np.sort(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(low, high, n))
@@ -142,8 +147,8 @@ def search_cases(draw):
         scale = draw(st.floats(0.01, 100.0))
         counts = scale * np.cumsum(np.exp(log_t - log_t.mean()))
     series = FailureSeries(times=times, horizon=float(times[-1]), counts=counts)
-    budget = draw(st.sampled_from([1, 2, 50, 4096, 4097, 5000]))
-    return series, FitConfig(search_budget=budget, rng_seed=draw(st.integers(0, 2**32 - 1)))
+    budgets = st.integers(50, 600) if long else st.sampled_from([1, 2, 50, 4096, 4097, 5000])
+    return series, FitConfig(search_budget=draw(budgets), rng_seed=draw(st.integers(0, 2**32 - 1)))
 
 
 def geometric_case(n):
@@ -179,6 +184,14 @@ def step_case():
     )
 
 
+def concave_case(n=8000):
+    """A concave series of n failures at the times GO with a = 1.25 n and
+    b = 0.01 predicts them, searched at budget 500."""
+    i = np.arange(1, n + 1)
+    times = -np.log1p(-i / (1.25 * n)) / 0.01
+    return FailureSeries(times=times, horizon=float(times[-1])), FitConfig(search_budget=500)
+
+
 def overflow_case():
     """Three points up to t = 100 and one draw: DU's draw at seed 21 has
     finite residuals whose squares overflow, so no draw has a finite RSS."""
@@ -197,9 +210,11 @@ def overflow_case():
 @example(case=zigzag_case())
 @example(case=step_case())
 @example(case=overflow_case())
+@example(case=concave_case())
 def test_initial_search_equals_brute_force(model, case):
-    """Screening draws on the last point, then on a few points, never
-    changes the chosen draw, nor the fallback when every RSS overflows."""
+    """Screening draws on the last point, then on a bound from a few points,
+    never changes the chosen draw, nor the fallback when every RSS
+    overflows."""
     series, cfg = case
     if series.n < descriptor(model).k + 1:
         with pytest.raises(InsufficientDataError):
@@ -271,6 +286,68 @@ def test_one_point_stage_thins_the_8_point_screen(monkeypatch):
     assert len(screened) == 3 and screened[0] == chunk
     assert all(rows < chunk for rows in screened[1:])
     assert np.array_equal(start, expected)
+
+
+@st.composite
+def bound_cases(draw):
+    """A model, 200 draws from its search box with its corners, and a
+    series of sorted times up to 1e5 days with implicit counts or explicit
+    ones that rise and fall."""
+    model = draw(st.sampled_from(MODEL_ORDER))
+    n = draw(st.integers(2, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = search_bounds(model, n)
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    draws = np.exp(np.log(lo) + rng.random((200, lo.size)) * np.log(hi / lo))
+    horizon = draw(st.floats(1e-3, 1e5))
+    times = np.sort(horizon * (1.0 - rng.random(n)))
+    counts = None
+    if draw(st.booleans()):
+        drift = draw(st.floats(-1.0, 3.0))
+        counts = draw(st.floats(0.01, 100.0)) * np.cumsum(rng.normal(drift, 1.0, n))
+    series = FailureSeries(times=times, horizon=horizon, counts=counts)
+    return model, np.vstack([corners, draws]), series
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=bound_cases())
+def test_screen_bound_never_exceeds_the_full_rss(case):
+    model, candidates, series = case
+    kernel = _KERNELS[model]
+    screen = fitting._screen_points(series.times, series.cumulative)
+    partial = fitting._rss(kernel, candidates, screen.t, screen.y)
+    bound = partial + fitting._envelope(candidates, kernel(candidates, screen.t), screen)
+    full = fitting._rss(kernel, candidates, series.times, series.cumulative)
+    finite = np.isfinite(full)
+    assert np.all(bound[finite] <= full[finite] * screen.slack)
+
+
+def test_envelope_bound_scores_few_long_series_draws_in_full(monkeypatch):
+    """On a long concave series most draws' envelope bound exceeds the
+    best full RSS, so few reach the full scoring."""
+    series, cfg = concave_case()
+    scored = []
+    for model in MODEL_ORDER:
+        kernel = _KERNELS[model]
+
+        def recording(candidates, times, jac=False, kernel=kernel):
+            if times.size == series.n:
+                scored.append(candidates.shape[0])
+            return kernel(candidates, times, jac=jac)
+
+        monkeypatch.setitem(fitting._KERNELS, model, recording)
+        initial_search(model, series, cfg)
+    assert sum(scored) < 0.1 * cfg.search_budget * len(MODEL_ORDER)
+
+
+@pytest.mark.parametrize("case", [overflow_case(), concave_case()], ids=["overflow", "concave"])
+def test_initial_search_warns_nothing(case):
+    series, cfg = case
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        for model in MODEL_ORDER:
+            if series.n > descriptor(model).k:
+                initial_search(model, series, cfg)
 
 
 def test_refine_at_optimum_stays_put():
