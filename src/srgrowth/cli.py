@@ -40,6 +40,7 @@ from .errors import (
 from .fitting import FitConfig, fit_all
 from .models import MODEL_ORDER, ModelId, descriptor, mean_value
 from .pipeline import (
+    ATTRIBUTE_METRICS,
     DEFAULT_MIN_FAULTS,
     build_series,
     classify_attribute,
@@ -75,15 +76,7 @@ from .reporting import (
 from .series import FailureSeries
 from .stats import GOF_METRICS, compare_groups, laplace_factor, pool_scores, rank_models
 
-GROUPINGS = (
-    "whole",
-    "releases",
-    "domain",
-    "attribute:LOC",
-    "attribute:NOC",
-    "attribute:NOI",
-    "attribute:NOFA",
-)
+GROUPINGS = ("whole", "releases", "domain", *(f"attribute:{m}" for m in ATTRIBUTE_METRICS))
 
 TOKEN_ENV_VARS = ("SRGROWTH_TOKEN", "GITHUB_TOKEN")
 
@@ -341,7 +334,11 @@ def cmd_trend(args) -> int:
 
     write_csv(args.out / "trend.csv", TREND_COLUMNS, rows)
     if segments:
-        write_csv(args.out / "segments.csv", SEGMENT_COLUMNS, sorted(segments.items()))
+        write_csv(
+            args.out / "segments.csv",
+            SEGMENT_COLUMNS,
+            [(s.label, segments[s.label]) for s in series],
+        )
     write_csv(args.out / "skipped.csv", SKIPPED_COLUMNS, skipped)
 
     meta = {

@@ -62,7 +62,6 @@ _SEARCH_ELEMENTS = 1 << 20  # cap on candidates x points per chunk
 _SCREEN_POINTS = 8
 _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e12
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -266,12 +265,8 @@ def _draws(mid: ModelId, series: FailureSeries, cfg: FitConfig):
 
 
 def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) -> np.ndarray:
-    """Best of ``cfg.search_budget`` log-uniform parameter draws by RSS.
-
-    When no draw has a finite RSS, the first draw whose residuals are all
-    finite (their squares overflowed) is returned instead, for ``refine``
-    to improve; ``NumericError`` only when there is none.
-    """
+    """Best of ``cfg.search_budget`` log-uniform parameter draws by RSS;
+    ``NumericError`` when no draw has a finite RSS."""
     mid = ModelId(model)
     _require_enough_points(mid, series)
     t = series.times
@@ -291,15 +286,9 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
         if rss[idx] < best_rss:
             best_rss = float(rss[idx])
             best = candidates[idx].copy()
-    if best is not None:
-        return best
-    # Every RSS overflowed (DU, say, at budget 1).  The screen dropped the
-    # draws without recording them, so replay the same stream.
-    for candidates in _draws(mid, series, cfg):
-        finite = np.all(np.isfinite(kernel(candidates, t) - y), axis=1)
-        if finite.any():
-            return candidates[int(np.argmax(finite))].copy()
-    raise NumericError("initial search produced no draw with finite residuals")
+    if best is None:
+        raise NumericError(f"no {mid} draw has a finite RSS")
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -307,25 +296,8 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
 # ---------------------------------------------------------------------------
 
 
-def _fd_jacobian(kernel, p: np.ndarray, t: np.ndarray, lo, hi) -> np.ndarray:
-    k = p.size
-    cols = []
-    for i in range(k):
-        h = _FD_STEP * max(abs(p[i]), 1e-12)
-        up = p.copy()
-        dn = p.copy()
-        up[i] = min(p[i] + h, hi[i])
-        dn[i] = max(p[i] - h, lo[i] * (1.0 + 1e-12))
-        span = up[i] - dn[i]
-        if span <= 0.0:
-            cols.append(np.zeros_like(t))
-            continue
-        cols.append((kernel(up, t) - kernel(dn, t)) / span)
-    return np.stack(cols, axis=-1)
-
-
-# A start far off the data can overflow the residual products (r·r, Jᵀr,
-# JᵀJ and R²'s squares) to inf; every check below handles inf, so numpy
+# A start whose r·r overflows is refused, but a trial step can still
+# overflow r·r, Jᵀr or JᵀJ to inf; every check below handles inf, so numpy
 # need not warn about it.
 @np.errstate(over="ignore")
 def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
@@ -335,8 +307,8 @@ def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
     first float above it) with ``J^T r < 0``, or on its upper bound with
     ``J^T r > 0``, and solves the damped system over the free ones; the
     gain ratio and the step norm are taken over the free components.
-    Accepted steps have a finite RSS and never increase it; a start whose
-    RSS overflows is accepted and left only for a finite one.
+    Accepted steps never increase the RSS; a start whose RSS is not finite
+    raises ``NumericError``.
 
     Stops, counting as convergence, when every parameter is held (a
     bound-constrained stationary point), when the relative RSS drop falls
@@ -356,11 +328,10 @@ def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
     y = series.cumulative
     kernel = _KERNELS[mid]
 
-    fitted = kernel(p, t)
-    residuals = y - fitted
-    if not np.all(np.isfinite(residuals)):
-        raise NumericError(f"{mid} produced non-finite residuals at {p.tolist()}")
+    residuals = y - kernel(p, t)
     rss = float(residuals @ residuals)
+    if not math.isfinite(rss):
+        raise NumericError(f"{mid} has no finite RSS at {p.tolist()}")
 
     lam = _LAMBDA_INIT
     nu = 2.0
@@ -369,8 +340,6 @@ def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
     for _ in range(REFINE_MAX_ITERATIONS):
         iterations += 1
         jac = kernel(p, t, jac=True)
-        if not np.all(np.isfinite(jac)):
-            jac = _fd_jacobian(kernel, p, t, lo, hi)
         if not np.all(np.isfinite(jac)):
             break  # hopeless curvature information: report non-convergence
         # Hold every parameter that sits on a bound while the descent
@@ -402,14 +371,10 @@ def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
             full = np.zeros_like(p)
             full[free] = step
             p_new = np.clip(p + full, floor, hi)
-            fitted_new = kernel(p_new, t)
-            residuals_new = y - fitted_new
-            rss_new = (
-                float(residuals_new @ residuals_new)
-                if np.all(np.isfinite(residuals_new))
-                else math.inf
-            )
-            if rss_new <= rss and math.isfinite(rss_new):
+            residuals_new = y - kernel(p_new, t)
+            rss_new = float(residuals_new @ residuals_new)
+            # NaN and inf fail this test, since rss is finite
+            if rss_new <= rss:
                 accepted = True
                 break
             lam *= nu

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ DEFAULT_MIN_FAULTS = 20
 # rate-limit sleeps a fetch takes before it gives up
 RATE_LIMIT_WAITS = 3
 
-ATTRIBUTE_METRICS = ("LOC", "NOC", "NOI", "NOFA")
 # lower/upper cut of the middle (M) class; boundary values are M
 _ATTRIBUTE_CUTS = {
     "LOC": (10_000, 100_000),
@@ -50,6 +49,7 @@ _ATTRIBUTE_CUTS = {
     "NOI": (1_000, 10_000),
     "NOFA": (500, 5_000),
 }
+ATTRIBUTE_METRICS = tuple(_ATTRIBUTE_CUTS)
 
 _CATEGORY_RE = re.compile(r"^C[1-8]$")
 
@@ -158,15 +158,13 @@ def _record_from_dict(obj: dict, position: str, skipped: list[str]) -> IssueReco
     )
 
 
-def parse_issues(document: bytes | str | IO) -> ParseResult:
+def parse_issues(document: bytes | str) -> ParseResult:
     """Parse a JSON array or newline-delimited JSON of issue objects.
 
     Records are sorted by creation time.  Records missing their id or
     creation time are skipped with a note; malformed JSON raises
     ``ParseError`` carrying the byte offset of the failure.
     """
-    if hasattr(document, "read"):
-        document = document.read()
     if isinstance(document, bytes):
         text = document.decode("utf-8")
     else:

@@ -45,10 +45,7 @@ FORMULA_VARIANTS = {
     "inter_rater_agreement": (
         "agreeing (model, segment-pair) rank cells / (models * segment pairs) * 100"
     ),
-    "initial_search": (
-        "best RSS of log-uniform draws within bounds, seeded; if every RSS overflows, "
-        "the first draw with finite residuals"
-    ),
+    "initial_search": "best RSS of log-uniform draws within bounds, seeded",
     "refine": (
         "damped Gauss-Newton with analytic Jacobian; parameters on a bound whose "
         "descent direction leaves the box are held, steps projected to bounds"

@@ -95,8 +95,6 @@ def laplace_factor(series: FailureSeries) -> TrendResult:
     horizon = series.horizon
     if n < 2:
         raise InsufficientDataError(f"Laplace factor needs n >= 2, got {n}")
-    if horizon <= 0.0:
-        raise InsufficientDataError("Laplace factor needs a positive horizon")
     u = (float(t.mean()) - horizon / 2.0) / (horizon * math.sqrt(1.0 / (12.0 * n)))
     return TrendResult(u=u, n=n, horizon=horizon, growth_significant=u < -LAPLACE_CRITICAL)
 

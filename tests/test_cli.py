@@ -303,6 +303,41 @@ def test_segment_of_project_whose_name_contains_a_colon(tmp_path):
         assert meta["series"]["beta"]["segment"] == "C2"
 
 
+def test_trend_segments_list_the_kept_series_in_input_order(tmp_path, two_projects):
+    """zeta has one issue, too few for a trend: it is skipped and so has no
+    segment row, and the rows follow --issues, as fit's do."""
+    zeta = write_issues(tmp_path / "zeta.ndjson", 1)
+    alpha, _ = two_projects
+    attrs = tmp_path / "attrs.csv"
+    attrs.write_text("project,category,loc,noc,noi,nofa\n"
+                     "alpha,C1,5000,50,400,200\n"
+                     "zeta,C2,50000,150,3000,1000\n")
+    out = tmp_path / "trend"
+    assert main([
+        "trend", "--issues", str(zeta), str(alpha), "--attributes", str(attrs),
+        "--group-by", "domain", "--out", str(out),
+    ]) == 0
+    segs = (out / "segments.csv").read_bytes().decode("utf-8")
+    assert segs.strip("\r\n").split("\r\n")[1:] == ["alpha,C1"]
+    skipped = (out / "skipped.csv").read_bytes().decode("utf-8")
+    assert skipped.strip("\r\n").split("\r\n")[1:] == ["zeta,only 1 observations; trend needs 2"]
+
+
+def test_trend_skips_an_empty_export(tmp_path, two_projects):
+    empty = tmp_path / "empty.ndjson"
+    empty.write_text("")
+    out = tmp_path / "trend"
+    assert main(["trend", "--issues", str(empty), str(two_projects[0]), "--out", str(out)]) == 0
+    with open(out / "skipped.csv", newline="", encoding="utf-8") as handle:
+        assert list(csv.DictReader(handle)) == [{"name": "empty", "reason": "no issues"}]
+    lines = (out / "trend.csv").read_bytes().decode("utf-8").strip("\r\n").split("\r\n")
+    assert [line.split(",")[0] for line in lines[1:]] == ["alpha"]
+
+    alone = tmp_path / "alone"
+    assert main(["trend", "--issues", str(empty), "--out", str(alone)]) == 3
+    assert not alone.exists()
+
+
 def test_fit_report_json_is_strict_with_null_placeholders(tmp_path):
     # 3 points: the two-parameter models fit, the three-parameter ones
     # yield placeholder rows

@@ -105,30 +105,26 @@ def test_initial_search_beats_random_probes():
 
 def brute_search(model, series, cfg):
     """Reference search: score every draw in full, chunk by chunk, keeping
-    the first minimum; the same draws as ``initial_search``.  When no draw
-    has a finite RSS, the first draw whose residuals are all finite; None
-    when there is none."""
+    the first minimum; the same draws as ``initial_search``.  None when no
+    draw has a finite RSS."""
     lo, hi = search_bounds(model, series.n)
     log_lo = np.log(lo)
     log_span = np.log(hi) - log_lo
     kernel = _KERNELS[ModelId(model)]
     rng = np.random.default_rng([cfg.rng_seed, MODEL_ORDER.index(ModelId(model))])
-    best_rss, best, fallback = math.inf, None, None
+    best_rss, best = math.inf, None
     remaining = cfg.search_budget
     while remaining > 0:
         batch = min(4096, remaining)
         remaining -= batch
         candidates = np.exp(log_lo + rng.random((batch, lo.size)) * log_span)
         residuals = kernel(candidates, series.times) - series.cumulative
-        finite = np.flatnonzero(np.all(np.isfinite(residuals), axis=1))
-        if fallback is None and finite.size:
-            fallback = candidates[finite[0]].copy()
         rss = np.einsum("ij,ij->i", residuals, residuals)
         rss = np.where(np.isfinite(rss), rss, math.inf)
         idx = int(np.argmin(rss))
         if rss[idx] < best_rss:
             best_rss, best = float(rss[idx]), candidates[idx].copy()
-    return fallback if best is None else best
+    return best
 
 
 @st.composite
@@ -213,39 +209,28 @@ def overflow_case():
 @example(case=concave_case())
 def test_initial_search_equals_brute_force(model, case):
     """Screening draws on the last point, then on a bound from a few points,
-    never changes the chosen draw, nor the fallback when every RSS
-    overflows."""
+    never changes the chosen draw, nor whether there is one."""
     series, cfg = case
     if series.n < descriptor(model).k + 1:
         with pytest.raises(InsufficientDataError):
             initial_search(model, series, cfg)
         return
     expected = brute_search(model, series, cfg)
-    if expected is None:  # no draw has finite residuals
+    if expected is None:  # no draw has a finite RSS
         with pytest.raises(NumericError):
             initial_search(model, series, cfg)
     else:
         assert np.array_equal(initial_search(model, series, cfg), expected)
 
 
-def test_fit_all_fits_from_a_draw_whose_rss_overflows():
-    series, cfg = overflow_case()
-    with np.errstate(over="ignore"):
-        (result,) = fit_all(series, models=("DU",), cfg=cfg)
-        start = initial_search(ModelId.DU, series, cfg)
-        assert math.isinf(rss_of(ModelId.DU, start, series))
-    # a fit from the fallback draw, not a NaN placeholder
-    assert result.params == tuple(start)
-    assert result.rss == math.inf and not result.converged
-
-
-def test_fit_from_an_overflowing_draw_warns_nothing():
+def test_fit_all_writes_a_placeholder_when_no_draw_has_a_finite_rss():
     series, cfg = overflow_case()
     with warnings.catch_warnings(), np.errstate(over="warn"):
         warnings.simplefilter("error")
         (result,) = fit_all(series, models=("DU",), cfg=cfg)
-    assert result.rss == math.inf and result.iterations_used == 1
-    assert result.gof.r2 == -math.inf
+    assert result.model is ModelId.DU
+    assert math.isnan(result.rss) and all(math.isnan(p) for p in result.params)
+    assert not result.converged and result.iterations_used == 0
 
 
 def test_search_chunks_stay_under_the_element_cap(monkeypatch):
@@ -342,12 +327,26 @@ def test_envelope_bound_scores_few_long_series_draws_in_full(monkeypatch):
 
 @pytest.mark.parametrize("case", [overflow_case(), concave_case()], ids=["overflow", "concave"])
 def test_initial_search_warns_nothing(case):
+    """No warning, also where the search finds no finite RSS (DU on the
+    overflow case) and raises instead."""
     series, cfg = case
+    models = [m for m in MODEL_ORDER if series.n > descriptor(m).k]
+    with np.errstate(over="ignore"):
+        found = {m: brute_search(m, series, cfg) is not None for m in models}
     with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"):
         warnings.simplefilter("error")
-        for model in MODEL_ORDER:
-            if series.n > descriptor(model).k:
+        for model in models:
+            if found[model]:
                 initial_search(model, series, cfg)
+            else:
+                with pytest.raises(NumericError):
+                    initial_search(model, series, cfg)
+
+
+def test_refine_refuses_a_start_whose_rss_overflows():
+    series = FailureSeries(times=[1.0, 50.0, 100.0], horizon=100.0)
+    with pytest.raises(NumericError):
+        refine(ModelId.DU, series, (1e3, 1e3))
 
 
 def test_refine_at_optimum_stays_put():

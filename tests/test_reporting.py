@@ -69,6 +69,7 @@ def test_unique_slugs_disambiguate_collisions():
     slugs = unique_slugs(["a b", "A B", "c"])
     assert len(set(slugs.values())) == 3
     assert slugs["c"] == "c"
+    assert unique_slugs(["a b", "a_b", "a:b"]) == {"a b": "a_b", "a_b": "a_b-2", "a:b": "a_b-3"}
 
 
 def test_gof_csv_layout(tmp_path):

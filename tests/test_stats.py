@@ -108,6 +108,8 @@ def test_kruskal_wallis_identical_groups_degenerate():
     h, p = kruskal_wallis([[5.0, 5.0], [5.0, 5.0, 5.0]])
     assert h == 0.0
     assert p == 1.0
+    # every rank is tied, so no pair has a rank variance to test on
+    assert np.array_equal(dunn_posthoc([[5.0, 5.0], [5.0, 5.0, 5.0]]), np.ones((2, 2)))
 
 
 def test_kruskal_wallis_brute_force_oracle():
