@@ -225,12 +225,18 @@ def test_initial_search_equals_brute_force(model, case):
 
 def test_fit_all_writes_a_placeholder_when_no_draw_has_a_finite_rss():
     series, cfg = overflow_case()
-    with warnings.catch_warnings(), np.errstate(over="warn"):
-        warnings.simplefilter("error")
-        (result,) = fit_all(series, models=("DU",), cfg=cfg)
+    (result,) = fit_all(series, models=("DU",), cfg=cfg)
     assert result.model is ModelId.DU
     assert math.isnan(result.rss) and all(math.isnan(p) for p in result.params)
     assert not result.converged and result.iterations_used == 0
+
+
+def test_fit_from_an_overflowing_draw_warns_nothing():
+    series, cfg = overflow_case()
+    with warnings.catch_warnings(), np.errstate(over="warn"):
+        warnings.simplefilter("error")
+        (result,) = fit_all(series, models=("DU",), cfg=cfg)
+    assert math.isnan(result.rss) and result.iterations_used == 0
 
 
 def test_search_chunks_stay_under_the_element_cap(monkeypatch):
