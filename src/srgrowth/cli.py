@@ -26,8 +26,7 @@ import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import (
@@ -37,8 +36,6 @@ from .errors import (
     InsufficientDataError,
     SegmentCoverageError,
 )
-from .fitting import FitConfig, fit_all
-from .models import MODEL_ORDER, ModelId, descriptor, mean_value
 from .pipeline import (
     ATTRIBUTE_METRICS,
     DEFAULT_MIN_FAULTS,
@@ -73,8 +70,13 @@ from .reporting import (
     write_csv,
     write_json,
 )
-from .series import FailureSeries
-from .stats import GOF_METRICS, compare_groups, laplace_factor, pool_scores, rank_models
+from .scores import GOF_METRICS
+
+# annotations only: the verbs that build series or fit import these, and
+# with them numpy, when they run
+if TYPE_CHECKING:
+    from .models import ModelId
+    from .series import FailureSeries
 
 GROUPINGS = ("whole", "releases", "domain", *(f"attribute:{m}" for m in ATTRIBUTE_METRICS))
 
@@ -217,26 +219,26 @@ def cmd_ingest(args) -> int:
     summary: dict[str, dict] = {}
     for stem, parsed in _ingest_sources(args):
         records, skipped = parsed.records, parsed.skipped
-        matched = filter_defects(records, exclusions=frozenset(), include_title=args.title_match)
-        # every kept record matches, so filtering the matches drops exactly the exclusions
-        kept = filter_defects(matched, include_title=args.title_match)
+        excluded: list = []
+        kept = filter_defects(records, include_title=args.title_match, excluded=excluded)
+        matched = len(kept) + len(excluded)
         target = args.out / f"{stem}.ndjson"
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
-            for record in kept:
-                handle.write(json.dumps(issue_to_json(record), sort_keys=True) + "\n")
+            # issue_to_json builds its keys in sorted order, so each line has them sorted
+            handle.writelines(json.dumps(issue_to_json(record)) + "\n" for record in kept)
 
         summary[stem] = {
             "total": len(records),
             "parse_skipped": len(skipped),
             "parse_skip_notes": skipped,
-            "defect_matched": len(matched),
-            "excluded": len(matched) - len(kept),
+            "defect_matched": matched,
+            "excluded": len(excluded),
             "kept": len(kept),
             "output": target.name,
         }
         print(
-            f"{stem}: total={len(records)} defect_matched={len(matched)} "
-            f"excluded={len(matched) - len(kept)} kept={len(kept)}"
+            f"{stem}: total={len(records)} defect_matched={matched} "
+            f"excluded={len(excluded)} kept={len(kept)}"
         )
 
     _write_meta(args, "summary.json", {"title_match": bool(args.title_match), "inputs": summary})
@@ -258,6 +260,8 @@ def _load_projects(paths) -> list[tuple[str, list]]:
 
 def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dict]]:
     """Series per the grouping mode, segment labels, and skipped.csv rows."""
+    from .series import FailureSeries
+
     projects = _load_projects(args.issues)
     grouping = args.group_by
     series: list[FailureSeries] = []
@@ -328,6 +332,8 @@ def _enough_points(series, need: int, purpose: str, skipped: list[dict]) -> list
 
 
 def cmd_trend(args) -> int:
+    from .stats import laplace_factor
+
     series, segments, skipped = _grouped_series(args)
     series = _enough_points(series, 2, "trend", skipped)
     rows = [trend_row(s.label, laplace_factor(s)) for s in series]
@@ -362,6 +368,8 @@ def cmd_trend(args) -> int:
 
 
 def _parse_models(raw: str | None) -> list[ModelId]:
+    from .models import MODEL_ORDER, ModelId
+
     if not raw:
         return list(MODEL_ORDER)
     models = []
@@ -382,6 +390,10 @@ def _parse_models(raw: str | None) -> list[ModelId]:
 
 
 def cmd_fit(args) -> int:
+    from .fitting import FitConfig, fit_all
+    from .models import descriptor, mean_value
+    from .stats import laplace_factor
+
     models = _parse_models(args.models)
     cfg = FitConfig(search_budget=args.budget, rng_seed=args.seed)
     series, segments, skipped = _grouped_series(args)
@@ -472,6 +484,11 @@ def _load_fits(dirs) -> dict[str, list]:
 
 
 def cmd_compare(args) -> int:
+    import numpy as np
+
+    from .models import MODEL_ORDER
+    from .stats import compare_groups, pool_scores
+
     metric = args.metric
 
     by_segment = _load_fits((Path(fits), None, "all") for fits in args.fits)
@@ -533,6 +550,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from .stats import rank_models
+
     dirs = []
     for spec in args.fits:
         label, path = None, Path(spec)

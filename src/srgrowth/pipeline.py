@@ -18,10 +18,9 @@ import time as _time
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import (
     EmptySeriesError,
@@ -30,13 +29,18 @@ from .errors import (
     RateLimitError,
     UnknownRepoError,
 )
-from .series import FailureSeries
+
+if TYPE_CHECKING:
+    from .series import FailureSeries
 
 SECONDS_PER_DAY = 86400.0
 TIME_EPSILON = 1e-6
 
 DEFECT_KEYWORDS = frozenset({"bug", "error", "fail", "fault", "defect"})
 EXCLUSION_KEYWORDS = frozenset({"duplicat"})
+# a record's labels are searched as one string, joined by a character no
+# keyword or exclusion term contains, so no match spans two labels
+_LABEL_SEPARATOR = "\0"
 
 DEFAULT_MIN_FAULTS = 20
 # rate-limit sleeps a fetch takes before it gives up
@@ -54,8 +58,10 @@ ATTRIBUTE_METRICS = tuple(_ATTRIBUTE_CUTS)
 _CATEGORY_RE = re.compile(r"^C[1-8]$")
 
 
-@dataclass(frozen=True)
-class IssueRecord:
+class IssueRecord(NamedTuple):
+    """One issue; a named tuple, which is cheaper to build than a frozen
+    dataclass, and parsing builds one per raw record."""
+
     id: int
     created_at: datetime
     labels: tuple[str, ...] = ()
@@ -120,8 +126,10 @@ def parse_timestamp(value: str) -> datetime:
 
 
 def _normalize_labels(raw) -> tuple[str, ...]:
+    if not raw:
+        return ()
     labels = []
-    for entry in raw or ():
+    for entry in raw:
         if isinstance(entry, str):
             labels.append(entry)
         elif isinstance(entry, dict) and isinstance(entry.get("name"), str):
@@ -129,32 +137,40 @@ def _normalize_labels(raw) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _record_from_dict(obj: dict, position: str, skipped: list[str]) -> IssueRecord | None:
+_MISSING = object()
+
+
+def _record_from_dict(obj, skipped: list[str], where: str, index: int) -> IssueRecord | None:
+    """The record of one issue object, or None with a note in ``skipped``
+    that names the object as ``where`` followed by ``index``."""
     if not isinstance(obj, dict):
-        skipped.append(f"{position}: not an object")
+        skipped.append(f"{where}{index}: not an object")
         return None
-    if "id" not in obj:
-        skipped.append(f"{position}: missing id")
+    get = obj.get
+    raw_id = get("id", _MISSING)
+    if raw_id is _MISSING:
+        skipped.append(f"{where}{index}: missing id")
         return None
-    if "created_at" not in obj or obj["created_at"] in (None, ""):
-        skipped.append(f"{position}: missing created_at")
+    raw_created = get("created_at")
+    if raw_created in (None, ""):
+        skipped.append(f"{where}{index}: missing created_at")
         return None
     try:
-        created = parse_timestamp(str(obj["created_at"]))
+        created = parse_timestamp(str(raw_created))
     except ValueError:
-        skipped.append(f"{position}: unreadable created_at {obj['created_at']!r}")
+        skipped.append(f"{where}{index}: unreadable created_at {raw_created!r}")
         return None
     try:
-        issue_id = int(obj["id"])
+        issue_id = int(raw_id)
     except (TypeError, ValueError):
-        skipped.append(f"{position}: unreadable id {obj['id']!r}")
+        skipped.append(f"{where}{index}: unreadable id {raw_id!r}")
         return None
     return IssueRecord(
-        id=issue_id,
-        created_at=created,
-        labels=_normalize_labels(obj.get("labels")),
-        title=str(obj.get("title") or ""),
-        state=str(obj.get("state") or ""),
+        issue_id,
+        created,
+        _normalize_labels(get("labels")),
+        str(get("title") or ""),
+        str(get("state") or ""),
     )
 
 
@@ -185,28 +201,33 @@ def parse_issues(document: bytes | str) -> ParseResult:
         if not isinstance(data, list):
             raise ParseError("top-level JSON value must be an array")
         for index, obj in enumerate(data):
-            record = _record_from_dict(obj, f"record {index}", skipped)
+            record = _record_from_dict(obj, skipped, "record ", index)
             if record is not None:
                 records.append(record)
     else:
-        char_base = 0
-        for line_no, line in enumerate(text.splitlines(keepends=True)):
+        # only "\n" ends a line: U+2028, U+2029 and U+0085, at which
+        # str.splitlines also breaks, may stand unescaped inside a string
+        lines = text.split("\n")
+        for index, line in enumerate(lines):
             content = line.strip()
-            if content:
-                try:
-                    obj = json.loads(content)
-                except json.JSONDecodeError as exc:
-                    position = char_base + line.find(content) + exc.pos
-                    raise ParseError(
-                        f"malformed JSON on line {line_no + 1}: {exc.msg}",
-                        offset=byte_offset(position),
-                    ) from exc
-                record = _record_from_dict(obj, f"line {line_no + 1}", skipped)
-                if record is not None:
-                    records.append(record)
-            char_base += len(line)
+            if not content:
+                continue
+            try:
+                obj = json.loads(content)
+            except json.JSONDecodeError as exc:
+                line_start = sum(map(len, lines[:index])) + index
+                raise ParseError(
+                    f"malformed JSON on line {index + 1}: {exc.msg}",
+                    offset=byte_offset(line_start + line.find(content) + exc.pos),
+                ) from exc
+            record = _record_from_dict(obj, skipped, "line ", index + 1)
+            if record is not None:
+                records.append(record)
 
     return ParseResult(records=_unique_sorted(records, skipped), skipped=skipped)
+
+
+_CHRONOLOGICAL = attrgetter("created_at", "id")
 
 
 def _unique_sorted(records: list[IssueRecord], skipped: list[str]) -> list[IssueRecord]:
@@ -220,18 +241,22 @@ def _unique_sorted(records: list[IssueRecord], skipped: list[str]) -> list[Issue
             continue
         seen.add(record.id)
         unique.append(record)
-    unique.sort(key=lambda r: (r.created_at, r.id))
+    unique.sort(key=_CHRONOLOGICAL)
     return unique
 
 
 def issue_to_json(record: IssueRecord) -> dict:
-    """Plain-JSON form of a record; parse_issues round-trips it exactly."""
+    """Plain-JSON form of a record; parse_issues round-trips it exactly.
+
+    The keys come in sorted order, so ``json.dumps`` writes them sorted
+    without ``sort_keys``.
+    """
     return {
-        "id": record.id,
         "created_at": record.created_at.isoformat(),
+        "id": record.id,
         "labels": list(record.labels),
-        "title": record.title,
         "state": record.state,
+        "title": record.title,
     }
 
 
@@ -308,7 +333,7 @@ def fetch_issues(
         for index, item in enumerate(items):
             if isinstance(item, dict) and "pull_request" in item:
                 continue
-            record = _record_from_dict(item, f"page {page} item {index}", skipped)
+            record = _record_from_dict(item, skipped, f"page {page} item ", index)
             if record is not None:
                 records.append(record)
 
@@ -346,27 +371,45 @@ def filter_defects(
     issues: Iterable[IssueRecord],
     exclusions: frozenset[str] | set[str] = EXCLUSION_KEYWORDS,
     include_title: bool = False,
+    excluded: list[IssueRecord] | None = None,
 ) -> list[IssueRecord]:
     """Keep issues labeled as defects and drop duplicates.
 
-    An issue qualifies when any label contains any of ``DEFECT_KEYWORDS``
-    (case-insensitive substring), unless a label also contains an
-    exclusion term.  ``include_title`` extends the keyword matching (not
-    the exclusions) to the issue title.  The filter is idempotent.
+    An issue matches when any label contains any of ``DEFECT_KEYWORDS``
+    (case-insensitive substring); ``include_title`` extends the matching
+    (not the exclusions) to the issue title.  A match is kept unless a
+    label also contains an exclusion term, in which case it is appended
+    to ``excluded`` when that is a list.  The filter is idempotent.
+    Exclusion terms must not contain NUL.
     """
-    excl = {e.lower() for e in exclusions}
+    exclusion = _alternation(exclusions)
+    defect = _DEFECT_SEARCH
     kept = []
     for issue in issues:
-        lowered = [label.lower() for label in issue.labels]
-        if any(e in label for e in excl for label in lowered):
+        labels = _LABEL_SEPARATOR.join(issue.labels).lower()
+        if not (defect(labels) or (include_title and defect(issue.title.lower()))):
             continue
-        matched = any(k in label for k in DEFECT_KEYWORDS for label in lowered)
-        if not matched and include_title:
-            title = issue.title.lower()
-            matched = any(k in title for k in DEFECT_KEYWORDS)
-        if matched:
+        # an empty term is in every label, but an issue without labels has none
+        if exclusion is not None and issue.labels and exclusion(labels):
+            if excluded is not None:
+                excluded.append(issue)
+        else:
             kept.append(issue)
     return kept
+
+
+def _alternation(terms):
+    """The ``search`` method of one pattern that finds any of the lowered
+    ``terms`` as a substring, or None when there are no terms."""
+    lowered = sorted({term.lower() for term in terms})
+    if not lowered:
+        return None
+    if any(_LABEL_SEPARATOR in term for term in lowered):
+        raise ValueError("filter terms must not contain NUL")
+    return re.compile("|".join(map(re.escape, lowered))).search
+
+
+_DEFECT_SEARCH = _alternation(DEFECT_KEYWORDS)
 
 
 def build_series(
@@ -381,7 +424,11 @@ def build_series(
     is the last one.  Times of exactly zero are shifted to 1e-6 so the
     series stays strictly positive.
     """
-    ordered = sorted(issues, key=lambda r: (r.created_at, r.id))
+    import numpy as np  # only series building needs it; keep ingest's start-up light
+
+    from .series import FailureSeries
+
+    ordered = sorted(issues, key=_CHRONOLOGICAL)
     if window is not None:
         ordered = [r for r in ordered if window.start <= r.created_at < window.end]
     if not ordered:
@@ -419,7 +466,7 @@ def segment_releases(
             raise ValueError(
                 f"release windows {before.name!r} and {after.name!r} overlap"
             )
-    records = sorted(issues, key=lambda r: (r.created_at, r.id))
+    records = sorted(issues, key=_CHRONOLOGICAL)
     created = [r.created_at for r in records]
     series = []
     dropped = []

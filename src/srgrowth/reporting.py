@@ -14,12 +14,15 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import __version__
-from .fitting import FitResult, GofScores
-from .models import ModelId
-from .stats import EFFECT_THRESHOLDS, GOF_METRICS, GroupComparison, RankingTable, TrendResult
+from .scores import EFFECT_THRESHOLDS, GOF_METRICS
+
+if TYPE_CHECKING:
+    from .fitting import FitResult
+    from .models import ModelId
+    from .stats import GroupComparison, RankingTable, TrendResult
 
 GOF_COLUMNS = ("series", "model", "a", "b", "c", "rss", "r2", "aic", "bic", "rse", "converged")
 TREND_COLUMNS = ("series", "n", "horizon_days", "laplace_u", "growth_significant")
@@ -163,6 +166,9 @@ def read_gof_csv(path: Path) -> list[tuple[str, FitResult]]:
     gof.csv does not hold the iteration count, so ``iterations_used``
     reads as 0.
     """
+    from .fitting import FitResult, GofScores
+    from .models import ModelId
+
     out: list[tuple[str, FitResult]] = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)

@@ -25,18 +25,17 @@ import numpy as np
 from .errors import InsufficientDataError, SegmentCoverageError
 from .fitting import FitResult
 from .models import MODEL_ORDER, ModelId
+from .scores import EFFECT_THRESHOLDS, GOF_METRICS
 from .series import FailureSeries
 
 LAPLACE_CRITICAL = 1.96
 
-GOF_METRICS = ("r2", "aic", "bic", "rse")
 # past this h, e^-h is no longer a normal float
 _H_SUBNORMAL = -math.log(sys.float_info.min)
 # R^2 ranks high-to-low; the information criteria and the residual standard
 # error rank low-to-high.
 _HIGHER_IS_BETTER = {"r2": True, "aic": False, "bic": False, "rse": False}
 
-EFFECT_THRESHOLDS = (0.01, 0.06, 0.14)
 EFFECT_LABELS = ("negligible", "small", "moderate", "large")
 
 

@@ -108,6 +108,45 @@ def test_ingest_title_match_summary(tmp_path):
     assert kept == [0, 3]
 
 
+# (labels, title) by id % 8: label matches, exclusions, title-only matches
+PINNED_CASES = [
+    (["bug"], "crash on start"),
+    (["Bug", "duplicate"], "crash again"),
+    (["DUPLICATED"], "save: Error"),
+    ([], "fails to start"),
+    (["enhancement"], "faulty docs"),
+    ([{"name": "type: Defect", "color": "ededed"}], "x"),
+    (["question"], "how to"),
+    (["kind/failure", "Duplicate of #3"], "y"),
+]
+
+
+@pytest.mark.parametrize("flags, counts", [
+    ([], (40, 7, 20, 10, 10)),
+    (["--title-match"], (40, 7, 35, 15, 20)),
+])
+def test_ingest_summary_counts_are_pinned(tmp_path, flags, counts):
+    """Repeated ids, exclusion labels and title-only matches give the counts
+    that the two-pass filter of earlier releases gave."""
+    records = [
+        {"id": i, "created_at": (T0 + timedelta(hours=i)).isoformat(),
+         "labels": labels, "title": title}
+        for i in range(40)
+        for labels, title in [PINNED_CASES[i % 8]]
+    ]
+    records += [{"id": i, "created_at": T0.isoformat(), "labels": ["bug"]} for i in range(5)]
+    records += [{"id": 99, "labels": ["bug"]}, {"id": 98, "created_at": "soon"}]
+    raw = tmp_path / "raw.json"
+    raw.write_text(json.dumps(records))
+    out = tmp_path / "out"
+    assert main(["ingest", "--issues", str(raw), *flags, "--out", str(out)]) == 0
+
+    stats = read_json(out / "summary.json")["inputs"]["raw"]
+    keys = ("total", "parse_skipped", "defect_matched", "excluded", "kept")
+    assert tuple(stats[k] for k in keys) == counts
+    assert len((out / "raw.ndjson").read_text().splitlines()) == stats["kept"]
+
+
 def test_ingest_corrupt_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('[{"id": 1, "created_at": "2021-')
@@ -551,12 +590,38 @@ def test_no_verb_prints_help(capsys):
     assert "usage" in capsys.readouterr().out.lower()
 
 
-def test_cli_import_leaves_requests_unloaded():
-    """Only fetching needs requests, so starting the CLI must not load it."""
+def _run_leaving_unloaded(code: str, module: str) -> None:
+    """Run ``code`` in a fresh interpreter, then fail if it loaded ``module``."""
     src = str(Path(srgrowth.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, srgrowth.cli; assert 'requests' not in sys.modules, 'requests loaded'"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    check = f"\nimport sys; assert {module!r} not in sys.modules, '{module} loaded'"
+    subprocess.run([sys.executable, "-c", code + check], env=env, check=True)
+
+
+def test_cli_import_leaves_requests_unloaded():
+    """Only fetching needs requests, so starting the CLI must not load it."""
+    _run_leaving_unloaded("import srgrowth.cli", "requests")
+
+
+def test_package_import_leaves_numpy_unloaded():
+    """The package resolves its exports lazily, so importing it loads no numpy."""
+    _run_leaving_unloaded("import srgrowth", "numpy")
+
+
+def test_ingest_verb_leaves_numpy_unloaded(tmp_path, two_projects):
+    """ingest neither builds series nor fits, so it runs without numpy."""
+    argv = ["ingest", "--issues", *map(str, two_projects), "--title-match",
+            "--format", "csv,json", "--out", str(tmp_path / "ingest")]
+    _run_leaving_unloaded(f"from srgrowth.cli import main; assert main({argv!r}) == 0", "numpy")
+    assert (tmp_path / "ingest" / "summary.json").exists()
+
+
+def test_every_package_export_resolves():
+    for name in srgrowth.__all__:
+        assert getattr(srgrowth, name) is not None, name
+    assert set(srgrowth.__all__) <= set(dir(srgrowth))
+    with pytest.raises(AttributeError):
+        srgrowth.no_such_export
 
 
 def test_report_metadata_is_each_verbs_metadata_file(tmp_path, two_projects):
@@ -638,7 +703,8 @@ def test_failed_verb_keeps_an_out_dir_it_wrote_to(tmp_path, two_projects, monkey
     def failing_fit(*args, **kwargs):
         raise ValueError("fit failed")
 
-    monkeypatch.setattr("srgrowth.cli.fit_all", failing_fit)
+    # cmd_fit imports fit_all from its module when it runs
+    monkeypatch.setattr("srgrowth.fitting.fit_all", failing_fit)
     out = tmp_path / "fit"
     assert main(["fit", "--issues", str(two_projects[0]), "--out", str(out)]) == 2
     assert (out / "curves").is_dir()

@@ -6,13 +6,15 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from srgrowth.errors import EmptySeriesError, ParseError
 from srgrowth.pipeline import (
     DEFAULT_MIN_FAULTS,
+    DEFECT_KEYWORDS,
+    EXCLUSION_KEYWORDS,
     SECONDS_PER_DAY,
     TIME_EPSILON,
     IssueRecord,
@@ -102,6 +104,22 @@ def test_parse_issues_ndjson_skips_blank_lines():
     doc = json.dumps(raw(1)) + "\n\n" + json.dumps(raw(2)) + "\n"
     result = parse_issues(doc)
     assert len(result.records) == 2
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+def test_parse_issues_ndjson_keeps_unicode_line_separators_in_strings(separator):
+    # JSON allows these unescaped inside a string, and str.splitlines
+    # would break the line at each of them
+    title = f"crash{separator}on save"
+    doc = "\n".join(
+        json.dumps(raw(i, title=title), ensure_ascii=False) for i in (1, 2)
+    ) + "\r\n"
+    result = parse_issues(doc)
+    assert [r.title for r in result.records] == [title, title]
+    assert result.skipped == []
+    assert parse_issues(json.dumps([raw(1, title=title)], ensure_ascii=False)).records == (
+        result.records[:1]
+    )
 
 
 def test_parse_issues_accepts_bytes():
@@ -218,6 +236,69 @@ def test_filter_is_idempotent():
     once = filter_defects(issues)
     twice = filter_defects(once)
     assert once == twice
+
+
+def reference_filter(issues, exclusions, include_title):
+    """The defect filter by its definition: nested scans over lowered labels."""
+    excl = {e.lower() for e in exclusions}
+    kept, excluded = [], []
+    for rec in issues:
+        lowered = [label.lower() for label in rec.labels]
+        matched = any(k in label for k in DEFECT_KEYWORDS for label in lowered) or (
+            include_title and any(k in rec.title.lower() for k in DEFECT_KEYWORDS)
+        )
+        if matched:
+            vetoed = any(e in label for e in excl for label in lowered)
+            (excluded if vetoed else kept).append(rec)
+    return kept, excluded
+
+
+# keywords, their halves, and pieces whose case mappings are not one ASCII
+# letter to another: the Kelvin sign lowers to "k", dotted capital I to "i"
+# plus a combining dot, and capital sigma to a final or a medial sigma by
+# what stands around it
+FILTER_PIECES = [
+    "bug", "BU", "g", "Err", "or", "fAiL", "fault", "DEFECT", "dup", "licat", "DUPLICATE",
+    "\u212a", "k", "\u0130", "i\u0307", "\u03a3", "\u03c3", "\u03c2", "A", "'", " ", "",
+]
+filter_terms = st.lists(st.sampled_from(FILTER_PIECES), max_size=3).map("".join)
+
+
+@st.composite
+def filter_cases(draw):
+    label = st.lists(st.sampled_from([*FILTER_PIECES, "\0"]), max_size=3).map("".join)
+    records = [
+        issue(i, labels=draw(st.lists(label, max_size=3)), title=draw(filter_terms))
+        for i in range(draw(st.integers(0, 8)))
+    ]
+    exclusions = draw(
+        st.just(EXCLUSION_KEYWORDS)
+        | st.frozensets(filter_terms.filter(lambda t: "\0" not in t), max_size=3)
+    )
+    return records, exclusions, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=filter_cases())
+# no match spans two labels
+@example(case=([issue(0, labels=("BU", "g")), issue(1, labels=("dup", "licat", "bug"))],
+               EXCLUSION_KEYWORDS, False))
+# an empty term is in every label, and an issue without labels has none
+@example(case=([issue(0, labels=(), title="bug"), issue(1, labels=("",), title="bug")],
+               frozenset({""}), True))
+# a sigma at the end of a label is final, whatever label follows
+@example(case=([issue(0, labels=("A\u03a3", "bug"))], frozenset({"a\u03c2"}), False))
+def test_filter_matches_its_definition(case):
+    records, exclusions, include_title = case
+    excluded = []
+    kept = filter_defects(records, exclusions, include_title, excluded=excluded)
+    assert (kept, excluded) == reference_filter(records, exclusions, include_title)
+    assert filter_defects(records, exclusions, include_title) == kept
+
+
+def test_filter_rejects_an_exclusion_term_with_nul():
+    with pytest.raises(ValueError, match="NUL"):
+        filter_defects([issue(1)], exclusions={"dup\0licate"})
 
 
 def test_filter_fifty_issue_composition():
