@@ -72,10 +72,10 @@ from .reporting import (
 )
 from .scores import GOF_METRICS
 
-# annotations only: the verbs that build series or fit import these, and
-# with them numpy, when they run
+# annotations only: the verbs that use these import them when they run,
+# which keeps the CLI's start-up light
 if TYPE_CHECKING:
-    from .models import ModelId
+    from .records import ModelId
     from .series import FailureSeries
 
 GROUPINGS = ("whole", "releases", "domain", *(f"attribute:{m}" for m in ATTRIBUTE_METRICS))
@@ -368,7 +368,7 @@ def cmd_trend(args) -> int:
 
 
 def _parse_models(raw: str | None) -> list[ModelId]:
-    from .models import MODEL_ORDER, ModelId
+    from .records import MODEL_ORDER, ModelId
 
     if not raw:
         return list(MODEL_ORDER)
@@ -390,6 +390,8 @@ def _parse_models(raw: str | None) -> list[ModelId]:
 
 
 def cmd_fit(args) -> int:
+    import numpy as np
+
     from .fitting import FitConfig, fit_all
     from .models import descriptor, mean_value
     from .stats import laplace_factor
@@ -410,8 +412,9 @@ def cmd_fit(args) -> int:
     for s in fitted_series:
         trend_rows.append(trend_row(s.label, laplace_factor(s)))
         results = fit_all(s, models, cfg)
+        times = np.asarray(s.times)
         curves = [
-            mean_value(r.model, r.params, s.times).tolist()
+            mean_value(r.model, r.params, times).tolist()
             if all(math.isfinite(v) for v in r.params)
             else [None] * s.n
             for r in results
@@ -419,7 +422,7 @@ def cmd_fit(args) -> int:
         write_csv(
             curves_dir / f"{slugs[s.label]}.csv",
             ["t", "observed", *(str(r.model) for r in results)],
-            zip(s.times.tolist(), s.cumulative.tolist(), *curves),
+            zip(s.times, s.cumulative, *curves),
         )
         gof_records.extend(gof_record(s.label, r) for r in results)
         series_meta[s.label] = {
@@ -484,10 +487,8 @@ def _load_fits(dirs) -> dict[str, list]:
 
 
 def cmd_compare(args) -> int:
-    import numpy as np
-
-    from .models import MODEL_ORDER
-    from .stats import compare_groups, pool_scores
+    from .records import MODEL_ORDER
+    from .stats import compare_groups, pool_scores, sample_sd
 
     metric = args.metric
 
@@ -524,9 +525,7 @@ def cmd_compare(args) -> int:
             row = {"segment": segment, "model": model.value, "n": len(scores[model][metric])}
             for name, values in scores[model].items():
                 row[f"{name}_mean"] = sum(values) / len(values) if values else None
-                row[f"{name}_sd"] = (
-                    float(np.std(values, ddof=1)) if len(values) >= 2 else None
-                )
+                row[f"{name}_sd"] = sample_sd(values) if len(values) >= 2 else None
             summary_rows.append(row)
 
     write_csv(args.out / "comparison.csv", COMPARISON_COLUMNS, comparison_rows)

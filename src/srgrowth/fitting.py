@@ -22,6 +22,13 @@ the point's residual is at least that distance.  A screened-out draw's
 full RSS is therefore larger than that of a draw already scored, and the
 search returns exactly the draw an exhaustive scoring would.
 
+Until a chunk has set a finite best RSS there is nothing to screen
+against, so every draw of the first chunk is evaluated at the 8 points
+and bounded.  The first chunk therefore holds only 512 draws, and each
+later one twice as many as the one before, up to 4096 draws and 2^20
+candidate-points.  The generator's stream does not depend on how it is
+chunked, so neither does the chosen draw.
+
 Goodness of fit is summarised four ways per fit:
 
 * ``r_squared``   1 - SS_res / SS_tot
@@ -47,7 +54,8 @@ from .errors import (
     NumericError,
     SrgrowthError,
 )
-from .models import _KERNELS, MODEL_ORDER, ModelId, descriptor, search_bounds, validate_params
+from .models import _KERNELS, descriptor, search_bounds, validate_params
+from .records import MODEL_ORDER, FitResult, GofScores, ModelId
 from .series import FailureSeries
 
 RSS_FLOOR = 1e-12
@@ -57,6 +65,7 @@ REFINE_MAX_ITERATIONS = 1000
 REFINE_RSS_REL_TOL = 1e-10
 REFINE_STEP_TOL = 1e-12
 
+_SEARCH_FIRST_CHUNK = 512
 _SEARCH_CHUNK = 4096
 _SEARCH_ELEMENTS = 1 << 20  # cap on candidates x points per chunk
 _SCREEN_POINTS = 8
@@ -78,24 +87,6 @@ class FitConfig:
     def __post_init__(self):
         if self.search_budget < 1:
             raise ValueError("search_budget must be at least 1")
-
-
-@dataclass(frozen=True)
-class GofScores:
-    r2: float
-    aic: float
-    bic: float
-    rse: float
-
-
-@dataclass(frozen=True)
-class FitResult:
-    model: ModelId
-    params: tuple[float, ...]
-    rss: float
-    converged: bool
-    iterations_used: int
-    gof: GofScores
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +209,15 @@ def _envelope(candidates, m, screen: _Screen) -> np.ndarray:
     return np.square(gap) @ screen.count
 
 
-def _screen(kernel, candidates, t, y, screen: _Screen, best_rss) -> np.ndarray:
+def _screen(kernel, candidates, t, y, screen: _Screen, best_rss) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates that may score no worse than ``best_rss``, and their
+    full RSS, infinite where it is not finite."""
     # The screen bound lies below each candidate's full RSS (up to
     # summation rounding, which ``screen.slack`` covers), so a candidate
     # whose bound already exceeds the best full RSS in sight cannot be the
     # first minimum.  A non-finite bound comes with a non-finite full RSS,
     # which never wins either.
+    none = candidates[:0], np.empty(0)
     if math.isfinite(best_rss):
         # The last point carries the largest count, so most draws miss it by
         # more than the best RSS of the earlier chunks; the comparison also
@@ -231,7 +225,7 @@ def _screen(kernel, candidates, t, y, screen: _Screen, best_rss) -> np.ndarray:
         one_point = _rss(kernel, candidates, t[-1:], y[-1:])
         candidates = candidates[one_point <= best_rss * screen.slack]
         if candidates.shape[0] == 0:
-            return candidates
+            return none
     m = kernel(candidates, screen.t)
     r = m - screen.y
     partial = np.einsum("ij,ij->i", r, r)
@@ -240,28 +234,53 @@ def _screen(kernel, candidates, t, y, screen: _Screen, best_rss) -> np.ndarray:
     keep = partial <= best_rss * screen.slack
     candidates = candidates[keep]
     if candidates.shape[0] == 0:
-        return candidates
+        return none
     bound = partial[keep] + _envelope(candidates, m[keep], screen)
     finite = np.isfinite(bound)
     lead = int(np.argmin(np.where(finite, bound, math.inf)))
-    lead_rss = float(_rss(kernel, candidates[lead : lead + 1], t, y)[0])
-    if math.isfinite(lead_rss):
-        best_rss = min(best_rss, lead_rss)
-    return candidates[finite & (bound <= best_rss * screen.slack)]
+    if not (finite[lead] and bound[lead] <= best_rss * screen.slack):
+        return none  # the least finite bound, so every one, is out of reach
+    # The lead's full RSS may tighten the cut, and it is kept for the lead's
+    # entry in the result, so that no draw is scored in full twice.
+    lead_rss = _rss(kernel, candidates[lead : lead + 1], t, y)
+    if math.isfinite(lead_rss[0]):
+        best_rss = min(best_rss, float(lead_rss[0]))
+    survive = finite & (bound <= best_rss * screen.slack)
+    rss = np.empty(candidates.shape[0])
+    rss[lead] = lead_rss[0]
+    rest = survive.copy()
+    rest[lead] = False
+    if rest.any():
+        rss[rest] = _rss(kernel, candidates[rest], t, y)
+    rss = rss[survive]
+    return candidates[survive], np.where(np.isfinite(rss), rss, math.inf)
 
 
 def _draws(mid: ModelId, series: FailureSeries, cfg: FitConfig):
-    """The search's log-uniform draws, chunk by chunk, from a fresh stream."""
+    """The search's log-uniform draws, chunk by chunk, from a fresh stream:
+    ``_SEARCH_FIRST_CHUNK`` draws, then twice as many as the chunk before,
+    up to ``_SEARCH_CHUNK`` draws and ``_SEARCH_ELEMENTS`` candidate-points."""
     lo, hi = search_bounds(mid, series.n)
     log_lo = np.log(lo)
     log_span = np.log(hi) - log_lo
     rng = _model_rng(cfg, mid)
-    chunk = max(1, min(_SEARCH_CHUNK, _SEARCH_ELEMENTS // series.n))
+    cap = max(1, min(_SEARCH_CHUNK, _SEARCH_ELEMENTS // series.n))
+    chunk = min(_SEARCH_FIRST_CHUNK, cap)
     remaining = cfg.search_budget
     while remaining > 0:
         batch = min(chunk, remaining)
         remaining -= batch
-        yield np.exp(log_lo + rng.random((batch, lo.size)) * log_span)
+        chunk = min(2 * chunk, cap)
+        u = rng.random((batch, lo.size))
+        # One parameter at a time, each a contiguous row: on the (batch, k)
+        # array the k-long bounds would broadcast, and numpy's inner loop
+        # would run once per draw.  The values are the same.
+        columns = np.empty((lo.size, batch))
+        for j, column in enumerate(columns):
+            np.multiply(u[:, j], log_span[j], out=column)
+            column += log_lo[j]
+            np.exp(column, out=column)
+        yield columns.T
 
 
 def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) -> np.ndarray:
@@ -269,19 +288,17 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
     ``NumericError`` when no draw has a finite RSS."""
     mid = ModelId(model)
     _require_enough_points(mid, series)
-    t = series.times
-    y = series.cumulative
+    t = np.array(series.times)
+    y = np.array(series.cumulative)
     kernel = _KERNELS[mid]
     screen = _screen_points(t, y)
 
     best_rss = math.inf
     best: np.ndarray | None = None
     for candidates in _draws(mid, series, cfg):
-        candidates = _screen(kernel, candidates, t, y, screen, best_rss)
+        candidates, rss = _screen(kernel, candidates, t, y, screen, best_rss)
         if candidates.shape[0] == 0:
             continue
-        rss = _rss(kernel, candidates, t, y)
-        rss = np.where(np.isfinite(rss), rss, math.inf)
         idx = int(np.argmin(rss))
         if rss[idx] < best_rss:
             best_rss = float(rss[idx])
@@ -324,8 +341,8 @@ def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
     # keep strictly above the lower bound so log/ratio terms stay defined
     floor = np.nextafter(lo, np.inf)
     p = np.clip(p, floor, hi)
-    t = series.times
-    y = series.cumulative
+    t = np.array(series.times)
+    y = np.array(series.cumulative)
     kernel = _KERNELS[mid]
 
     residuals = y - kernel(p, t)

@@ -37,6 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterDomainError
+from .records import MODEL_ORDER, ModelId  # noqa: F401  (re-exported)
 
 EXP_CLAMP = 700.0
 
@@ -47,24 +48,6 @@ ASYMPTOTE_LOWER = 1e-6
 RATE_LOWER = 1e-9
 RATE_UPPER = 1e3
 ASYMPTOTE_SCALE = 100.0
-
-
-# The members' order is the canonical presentation order (concave pair,
-# finite-over-infinite families as usually tabulated); batch fitting and
-# reports follow it as ``MODEL_ORDER``.
-class ModelId(str, Enum):
-    GO = "GO"
-    GOS = "GOS"
-    HD = "HD"
-    MO = "MO"
-    DU = "DU"
-    WE = "WE"
-    YE = "YE"
-    YR = "YR"
-    LL = "LL"
-
-    def __str__(self) -> str:  # "GO" rather than "ModelId.GO" in reports
-        return self.value
 
 
 class ShapeClass(str, Enum):
@@ -146,8 +129,6 @@ _DESCRIPTORS: dict[ModelId, ModelDescriptor] = {
         (False, False, False),
     ),
 }
-
-MODEL_ORDER: tuple[ModelId, ...] = tuple(ModelId)
 
 
 def descriptor(model: ModelId | str) -> ModelDescriptor:

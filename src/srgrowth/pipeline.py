@@ -165,10 +165,14 @@ def _record_from_dict(obj, skipped: list[str], where: str, index: int) -> IssueR
     except (TypeError, ValueError):
         skipped.append(f"{where}{index}: unreadable id {raw_id!r}")
         return None
+    raw_labels = get("labels")
+    if raw_labels is not None and not isinstance(raw_labels, list):
+        skipped.append(f"{where}{index}: labels are not a list: {raw_labels!r}")
+        return None
     return IssueRecord(
         issue_id,
         created,
-        _normalize_labels(get("labels")),
+        _normalize_labels(raw_labels),
         str(get("title") or ""),
         str(get("state") or ""),
     )
@@ -424,8 +428,7 @@ def build_series(
     is the last one.  Times of exactly zero are shifted to 1e-6 so the
     series stays strictly positive.
     """
-    import numpy as np  # only series building needs it; keep ingest's start-up light
-
+    # only series building needs it; keep ingest's start-up light
     from .series import FailureSeries
 
     ordered = sorted(issues, key=_CHRONOLOGICAL)
@@ -436,15 +439,12 @@ def build_series(
         raise EmptySeriesError(f"no issues in {scope}")
 
     start = window.start if window is not None else ordered[0].created_at
-    times = np.array(
-        [(r.created_at - start).total_seconds() / SECONDS_PER_DAY for r in ordered],
-        dtype=float,
-    )
-    times[times == 0.0] = TIME_EPSILON
+    days = [(r.created_at - start).total_seconds() / SECONDS_PER_DAY for r in ordered]
+    times = [d if d != 0.0 else TIME_EPSILON for d in days]
     if window is not None:
         horizon = (window.end - window.start).total_seconds() / SECONDS_PER_DAY
     else:
-        horizon = float(times[-1])
+        horizon = times[-1]
     name = label if label is not None else (window.name if window else "all")
     return FailureSeries(times=times, horizon=horizon, label=name)
 

@@ -20,8 +20,7 @@ from . import __version__
 from .scores import EFFECT_THRESHOLDS, GOF_METRICS
 
 if TYPE_CHECKING:
-    from .fitting import FitResult
-    from .models import ModelId
+    from .records import FitResult, ModelId
     from .stats import GroupComparison, RankingTable, TrendResult
 
 GOF_COLUMNS = ("series", "model", "a", "b", "c", "rss", "r2", "aic", "bic", "rse", "converged")
@@ -166,8 +165,7 @@ def read_gof_csv(path: Path) -> list[tuple[str, FitResult]]:
     gof.csv does not hold the iteration count, so ``iterations_used``
     reads as 0.
     """
-    from .fitting import FitResult, GofScores
-    from .models import ModelId
+    from .records import FitResult, GofScores, ModelId
 
     out: list[tuple[str, FitResult]] = []
     with open(path, newline="", encoding="utf-8") as handle:
@@ -201,7 +199,7 @@ def read_gof_csv(path: Path) -> list[tuple[str, FitResult]]:
 def comparison_to_dict(segment: str, metric: str, comparison: GroupComparison) -> dict:
     labels = comparison.group_labels
     dunn_rows = [
-        {"model_a": labels[i], "model_b": labels[j], "p_adj": float(comparison.dunn[i, j])}
+        {"model_a": labels[i], "model_b": labels[j], "p_adj": comparison.dunn[i][j]}
         for i in range(len(labels))
         for j in range(i + 1, len(labels))
     ]

@@ -2,14 +2,31 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
-import numpy as np
+
+def _floats(values, name: str) -> tuple[float, ...]:
+    # anything with more than one axis (an ndarray's ndim, say) is refused
+    # before its rows could be read as values
+    if getattr(values, "ndim", 1) != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    try:
+        out = tuple(map(float, values))
+    except TypeError:
+        raise ValueError(f"{name} must be a one-dimensional sequence of numbers") from None
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{name} must be finite")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class FailureSeries:
     """Ordered failure times over an observation horizon.
+
+    The times and counts are stored as tuples of floats; the fitting
+    engine turns them into arrays where it needs them.
 
     Parameters
     ----------
@@ -26,41 +43,37 @@ class FailureSeries:
         synthetic curves sampled on a time grid can be fitted directly.
     """
 
-    times: np.ndarray
+    times: Sequence[float]
     horizon: float
     label: str = "series"
-    counts: np.ndarray | None = field(default=None)
+    counts: Sequence[float] | None = field(default=None)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("times must be a nonempty 1-D array")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("times must be finite")
-        if np.any(t <= 0.0):
+        t = _floats(self.times, "times")
+        if not t:
+            raise ValueError("times must be nonempty")
+        if min(t) <= 0.0:
             raise ValueError("times must be strictly positive")
-        if np.any(np.diff(t) < 0.0):
+        if any(b < a for a, b in zip(t, t[1:])):
             raise ValueError("times must be nondecreasing")
         horizon = float(self.horizon)
-        if not np.isfinite(horizon) or horizon < t[-1]:
+        if not math.isfinite(horizon) or horizon < t[-1]:
             raise ValueError("horizon must be finite and cover max(times)")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "horizon", horizon)
         if self.counts is not None:
-            c = np.asarray(self.counts, dtype=float)
-            if c.shape != t.shape:
+            c = _floats(self.counts, "counts")
+            if len(c) != len(t):
                 raise ValueError("counts must match times in length")
-            if not np.all(np.isfinite(c)):
-                raise ValueError("counts must be finite")
             object.__setattr__(self, "counts", c)
 
     @property
     def n(self) -> int:
-        return int(self.times.size)
+        return len(self.times)
 
     @property
-    def cumulative(self) -> np.ndarray:
+    def cumulative(self) -> tuple[float, ...]:
         """Cumulative counts; implicit 1..n when none were supplied."""
         if self.counts is None:
-            return np.arange(1, self.n + 1, dtype=float)
+            return tuple(map(float, range(1, self.n + 1)))
         return self.counts

@@ -8,9 +8,12 @@ The module answers three questions about fitted results:
 * do different project segments agree on the model ranking (a
   total-agreement percentage over rank ties across segments).
 
-Everything here is exact arithmetic over small samples; chi-square tail
-probabilities come from the closed form for integer degrees of freedom
-(Abramowitz & Stegun 26.4.4-26.4.5), normal tails from ``math.erfc``.
+Everything here is plain Python over small samples, so the verbs that
+only test and compare load no numpy.  Chi-square tail probabilities come
+from the closed form for integer degrees of freedom (Abramowitz & Stegun
+26.4.4-26.4.5), normal tails from ``math.erfc``.  ``mean`` and
+``sample_sd`` add in numpy's pairwise order, so they round exactly as
+``np.mean`` and ``np.std(ddof=1)`` do.
 """
 
 from __future__ import annotations
@@ -18,15 +21,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from functools import reduce
+from operator import add
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import InsufficientDataError, SegmentCoverageError
-from .fitting import FitResult
-from .models import MODEL_ORDER, ModelId
+from .records import MODEL_ORDER, FitResult, ModelId
 from .scores import EFFECT_THRESHOLDS, GOF_METRICS
-from .series import FailureSeries
+
+if TYPE_CHECKING:
+    from .series import FailureSeries
 
 LAPLACE_CRITICAL = 1.96
 
@@ -63,7 +67,7 @@ class GroupComparison:
     df: int
     p_value: float
     eta_squared: EffectSize
-    dunn: np.ndarray
+    dunn: tuple[tuple[float, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,48 @@ class RankingTable:
     ira_percent: float | None
 
 
+# ---------------------------------------------------------------------------
+# sums in numpy's order
+# ---------------------------------------------------------------------------
+
+
+def _pairwise_sum(values: Sequence[float], lo: int, hi: int) -> float:
+    """values[lo:hi] summed as numpy's pairwise summation does: fewer than
+    8 values one by one; up to 128 values in 8 running sums of every 8th
+    value, combined as a tree, plus the leftover tail one by one; beyond
+    that the two halves, split at a multiple of 8, each summed this way."""
+    n = hi - lo
+    if n < 8:
+        total = 0.0
+        for i in range(lo, hi):
+            total += values[i]
+        return total
+    if n <= 128:
+        end = hi - n % 8
+        r = [reduce(add, values[j:end:8]) for j in range(lo, lo + 8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, hi):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
+
+
+def mean(values: Sequence[float]) -> float:
+    """The arithmetic mean, rounded exactly as ``np.mean`` rounds it."""
+    # numpy adds the pairwise sum to its identity 0.0, which turns -0.0 into 0.0
+    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
+
+
+def sample_sd(values: Sequence[float]) -> float:
+    """The standard deviation with n - 1 degrees of freedom, rounded exactly
+    as ``np.std(values, ddof=1)`` rounds it."""
+    centre = mean(values)
+    squares = [(v - centre) * (v - centre) for v in values]
+    return math.sqrt((0.0 + _pairwise_sum(squares, 0, len(squares))) / (len(values) - 1))
+
+
 def laplace_factor(series: FailureSeries) -> TrendResult:
     """Laplace trend factor u of a failure series.
 
@@ -94,7 +140,7 @@ def laplace_factor(series: FailureSeries) -> TrendResult:
     horizon = series.horizon
     if n < 2:
         raise InsufficientDataError(f"Laplace factor needs n >= 2, got {n}")
-    u = (float(t.mean()) - horizon / 2.0) / (horizon * math.sqrt(1.0 / (12.0 * n)))
+    u = (mean(t) - horizon / 2.0) / (horizon * math.sqrt(1.0 / (12.0 * n)))
     return TrendResult(u=u, n=n, horizon=horizon, growth_significant=u < -LAPLACE_CRITICAL)
 
 
@@ -147,32 +193,45 @@ def chi2_sf(x: float, df: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pooled_ranks(groups: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
+def _pooled_ranks(groups: Sequence[Sequence[float]]) -> tuple[list[float], float]:
     """Average ranks of the pooled sample and the tie parameter sum(t^3 - t)."""
-    pooled = np.concatenate(groups)
-    order = np.argsort(pooled, kind="mergesort")
-    sorted_vals = pooled[order]
-    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
-    runs = np.diff(np.r_[starts, pooled.size])
-    ranks = np.empty(pooled.size, dtype=float)
-    # a run of equal values at sorted positions start..start+run-1 shares
-    # the average of the 1-based ranks start+1..start+run
-    ranks[order] = np.repeat(starts + (runs + 1) / 2.0, runs)
-    return ranks, float(np.sum(runs.astype(float) ** 3 - runs))  # no int64 wrap-around
+    pooled = [v for g in groups for v in g]
+    order = sorted(range(len(pooled)), key=pooled.__getitem__)  # stable
+    ranks = [0.0] * len(pooled)
+    tie_sum = 0.0
+    start = 0
+    for end in range(1, len(order) + 1):
+        if end < len(order) and pooled[order[end]] == pooled[order[start]]:
+            continue
+        # the run of equal values at sorted positions start..end-1 shares
+        # the average of the 1-based ranks start+1..end
+        run = end - start
+        rank = start + (run + 1) / 2.0
+        for i in order[start:end]:
+            ranks[i] = rank
+        tie_sum += float(run) ** 3 - run
+        start = end
+    return ranks, tie_sum
 
 
-def _validate_groups(groups) -> list[np.ndarray]:
-    arrays = [np.asarray(g, dtype=float) for g in groups]
-    if len(arrays) < 2:
-        raise InsufficientDataError("need at least 2 groups")
-    for g in arrays:
-        if g.ndim != 1 or g.size == 0:
+def _validate_groups(groups) -> list[tuple[float, ...]]:
+    samples = []
+    for g in groups:
+        try:
+            # an ndarray of more than one axis has an ndim to say so
+            sample = tuple(map(float, g)) if getattr(g, "ndim", 1) == 1 else ()
+        except TypeError:  # a scalar, or a group of sequences
+            sample = ()
+        if not sample:
             raise InsufficientDataError("every group must be a nonempty 1-D sample")
-        if not np.all(np.isfinite(g)):
+        if not all(map(math.isfinite, sample)):
             raise ValueError("group values must be finite")
-    if sum(g.size for g in arrays) < 3:
+        samples.append(sample)
+    if len(samples) < 2:
+        raise InsufficientDataError("need at least 2 groups")
+    if sum(map(len, samples)) < 3:
         raise InsufficientDataError("need at least 3 observations in total")
-    return arrays
+    return samples
 
 
 def kruskal_wallis(groups: Sequence[Iterable[float]]) -> tuple[float, float]:
@@ -184,55 +243,56 @@ def kruskal_wallis(groups: Sequence[Iterable[float]]) -> tuple[float, float]:
     every group's mean rank is the pooled one.  When all pooled values are
     identical the statistic degenerates to H = 0, p = 1.
     """
-    arrays = _validate_groups(groups)
-    ranks, tie_sum = _pooled_ranks(arrays)
-    n_total = sum(g.size for g in arrays)
+    samples = _validate_groups(groups)
+    ranks, tie_sum = _pooled_ranks(samples)
+    n_total = len(ranks)
     correction = 1.0 - tie_sum / (n_total**3 - n_total)
     if correction == 0.0:
         return 0.0, 1.0
     centre = (n_total + 1.0) / 2.0
     spread = 0.0
     offset = 0
-    for g in arrays:
-        mean_rank = float(ranks[offset : offset + g.size].mean())
-        spread += g.size * (mean_rank - centre) ** 2
-        offset += g.size
+    # rank sums are sums of half-integers, exact in any order
+    for g in samples:
+        mean_rank = sum(ranks[offset : offset + len(g)]) / len(g)
+        spread += len(g) * (mean_rank - centre) ** 2
+        offset += len(g)
     h = 12.0 / (n_total * (n_total + 1.0)) * spread / correction
-    return h, chi2_sf(h, len(arrays) - 1)
+    return h, chi2_sf(h, len(samples) - 1)
 
 
-def dunn_posthoc(groups: Sequence[Iterable[float]]) -> np.ndarray:
+def dunn_posthoc(groups: Sequence[Iterable[float]]) -> tuple[tuple[float, ...], ...]:
     """Dunn's pairwise z-tests on mean ranks, Bonferroni adjusted.
 
-    Returns a symmetric k x k matrix of adjusted two-sided p-values
-    (diagonal 1).  The adjustment multiplies each raw p by the number of
-    pairs k*(k-1)/2 and caps at 1.
+    Returns a symmetric k x k matrix, as a tuple of rows, of adjusted
+    two-sided p-values (diagonal 1).  The adjustment multiplies each raw p
+    by the number of pairs k*(k-1)/2 and caps at 1.
     """
-    arrays = _validate_groups(groups)
-    k = len(arrays)
-    ranks, tie_sum = _pooled_ranks(arrays)
-    n_total = sum(g.size for g in arrays)
+    samples = _validate_groups(groups)
+    k = len(samples)
+    ranks, tie_sum = _pooled_ranks(samples)
+    n_total = len(ranks)
     tie_term = tie_sum / (12.0 * (n_total - 1.0))
     base_var = n_total * (n_total + 1.0) / 12.0 - tie_term
 
     mean_ranks = []
     offset = 0
-    for g in arrays:
-        mean_ranks.append(float(ranks[offset : offset + g.size].mean()))
-        offset += g.size
+    for g in samples:
+        mean_ranks.append(sum(ranks[offset : offset + len(g)]) / len(g))
+        offset += len(g)
 
     n_pairs = k * (k - 1) / 2.0
-    out = np.ones((k, k), dtype=float)
+    out = [[1.0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            variance = base_var * (1.0 / arrays[i].size + 1.0 / arrays[j].size)
+            variance = base_var * (1.0 / len(samples[i]) + 1.0 / len(samples[j]))
             if variance <= 0.0:
                 p_adj = 1.0
             else:
                 z = (mean_ranks[i] - mean_ranks[j]) / math.sqrt(variance)
                 p_adj = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)) * n_pairs)
-            out[i, j] = out[j, i] = p_adj
-    return out
+            out[i][j] = out[j][i] = p_adj
+    return tuple(map(tuple, out))
 
 
 def eta_squared(h: float, k: int, n: int) -> EffectSize:
@@ -256,20 +316,20 @@ def eta_squared(h: float, k: int, n: int) -> EffectSize:
 
 def compare_groups(labels: Sequence[str], groups: Sequence[Iterable[float]]) -> GroupComparison:
     """Kruskal-Wallis plus Dunn's follow-up over named groups."""
-    arrays = _validate_groups(groups)
-    if len(labels) != len(arrays):
+    samples = _validate_groups(groups)
+    if len(labels) != len(samples):
         raise ValueError("labels and groups must align")
-    h, p = kruskal_wallis(arrays)
-    k = len(arrays)
-    n = sum(g.size for g in arrays)
+    h, p = kruskal_wallis(samples)
+    k = len(samples)
+    n = sum(map(len, samples))
     return GroupComparison(
         group_labels=tuple(str(x) for x in labels),
-        group_values=tuple(tuple(float(v) for v in g) for g in arrays),
+        group_values=tuple(samples),
         H=h,
         df=k - 1,
         p_value=p,
         eta_squared=eta_squared(h, k, n),
-        dunn=dunn_posthoc(arrays),
+        dunn=dunn_posthoc(samples),
     )
 
 

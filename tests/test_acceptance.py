@@ -289,7 +289,7 @@ def test_normal_cdf_at_the_97_5_percent_point():
     first = list(range(9, 32)) + [42]
     second = [r for r in range(1, 50) if r not in first]
     p = dunn_posthoc([[float(r) for r in first], [float(r) for r in second]])
-    assert p[0, 1] == pytest.approx(0.0499958, abs=1e-7)
+    assert p[0][1] == pytest.approx(0.0499958, abs=1e-7)
 
 
 def test_eta_squared_effect_size_and_label():

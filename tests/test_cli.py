@@ -616,6 +616,22 @@ def test_ingest_verb_leaves_numpy_unloaded(tmp_path, two_projects):
     assert (tmp_path / "ingest" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("verb", ["trend", "compare", "rank"])
+def test_statistics_verbs_leave_numpy_unloaded(tmp_path, two_projects, verb):
+    """trend, compare and rank neither fit nor evaluate a model, so they
+    run without numpy."""
+    if verb == "trend":
+        args = ["--issues", *map(str, two_projects)]
+    else:
+        fits = tmp_path / "fit"
+        assert main(["fit", "--issues", *map(str, two_projects), "--models", "GO,MO",
+                     "--budget", "100", "--out", str(fits)]) == 0
+        args = ["--fits", str(fits)]
+    argv = [verb, *args, "--format", "csv,json", "--out", str(tmp_path / verb)]
+    _run_leaving_unloaded(f"from srgrowth.cli import main; assert main({argv!r}) == 0", "numpy")
+    assert (tmp_path / verb / "report.json").exists()
+
+
 def test_every_package_export_resolves():
     for name in srgrowth.__all__:
         assert getattr(srgrowth, name) is not None, name

@@ -112,13 +112,14 @@ def brute_search(model, series, cfg):
     log_span = np.log(hi) - log_lo
     kernel = _KERNELS[ModelId(model)]
     rng = np.random.default_rng([cfg.rng_seed, MODEL_ORDER.index(ModelId(model))])
+    t, y = np.array(series.times), np.array(series.cumulative)
     best_rss, best = math.inf, None
     remaining = cfg.search_budget
     while remaining > 0:
         batch = min(4096, remaining)
         remaining -= batch
         candidates = np.exp(log_lo + rng.random((batch, lo.size)) * log_span)
-        residuals = kernel(candidates, series.times) - series.cumulative
+        residuals = kernel(candidates, t) - y
         rss = np.einsum("ij,ij->i", residuals, residuals)
         rss = np.where(np.isfinite(rss), rss, math.inf)
         idx = int(np.argmin(rss))
@@ -258,24 +259,31 @@ def test_search_chunks_stay_under_the_element_cap(monkeypatch):
 
 
 def test_one_point_stage_thins_the_8_point_screen(monkeypatch):
-    """After the first chunk the draws that miss the last count by more
-    than the best RSS so far never reach the 8-point screen."""
+    """The first chunk holds 512 draws and goes through the 8-point screen
+    whole; each later chunk holds twice as many as the one before, up to
+    the cap, and its draws that miss the last count by more than the best
+    RSS so far never reach the 8-point screen."""
     series = synthetic_series(ModelId.GO, (300.0, 0.04), n=400)
-    chunk = fitting._SEARCH_ELEMENTS // series.n
-    cfg = FitConfig(search_budget=3 * chunk, rng_seed=8)
+    cap = fitting._SEARCH_ELEMENTS // series.n  # 2621, under the 4096 cap
+    cfg = FitConfig(search_budget=3 * cap, rng_seed=8)
     expected = brute_search(ModelId.GO, series, cfg)
     kernel = fitting._KERNELS[ModelId.GO]
+    drawn = []  # the one-point stage sees every draw of a chunk after the first
     screened = []
 
     def recording(candidates, times, jac=False):
+        if times.size == 1:
+            drawn.append(candidates.shape[0])
         if times.size == fitting._SCREEN_POINTS:
             screened.append(candidates.shape[0])
         return kernel(candidates, times, jac=jac)
 
     monkeypatch.setitem(fitting._KERNELS, ModelId.GO, recording)
     start = initial_search(ModelId.GO, series, cfg)
-    assert len(screened) == 3 and screened[0] == chunk
-    assert all(rows < chunk for rows in screened[1:])
+    assert screened[0] == 512
+    assert drawn == [1024, 2048, cap, 3 * cap - 512 - 1024 - 2048 - cap]
+    assert len(screened) == 1 + len(drawn)
+    assert all(rows < size for rows, size in zip(screened[1:], drawn))
     assert np.array_equal(start, expected)
 
 
@@ -305,10 +313,11 @@ def bound_cases(draw):
 def test_screen_bound_never_exceeds_the_full_rss(case):
     model, candidates, series = case
     kernel = _KERNELS[model]
-    screen = fitting._screen_points(series.times, series.cumulative)
+    t, y = np.array(series.times), np.array(series.cumulative)
+    screen = fitting._screen_points(t, y)
     partial = fitting._rss(kernel, candidates, screen.t, screen.y)
     bound = partial + fitting._envelope(candidates, kernel(candidates, screen.t), screen)
-    full = fitting._rss(kernel, candidates, series.times, series.cumulative)
+    full = fitting._rss(kernel, candidates, t, y)
     finite = np.isfinite(full)
     assert np.all(bound[finite] <= full[finite] * screen.slack)
 
@@ -329,6 +338,24 @@ def test_envelope_bound_scores_few_long_series_draws_in_full(monkeypatch):
         monkeypatch.setitem(fitting._KERNELS, model, recording)
         initial_search(model, series, cfg)
     assert sum(scored) < 0.1 * cfg.search_budget * len(MODEL_ORDER)
+
+
+def test_search_scores_no_draw_in_full_twice(monkeypatch):
+    """The screen scores its lead draw in full to tighten its cut; that RSS
+    is the lead's score, so the full-length rows are all distinct draws."""
+    series, cfg = concave_case()
+    rows = []
+    for model in MODEL_ORDER:
+        kernel = _KERNELS[model]
+
+        def recording(candidates, times, jac=False, kernel=kernel):
+            if times.size == series.n:
+                rows.extend(map(bytes, np.ascontiguousarray(candidates)))
+            return kernel(candidates, times, jac=jac)
+
+        monkeypatch.setitem(fitting._KERNELS, model, recording)
+        initial_search(model, series, cfg)
+    assert rows and len(set(rows)) == len(rows)
 
 
 @pytest.mark.parametrize("case", [overflow_case(), concave_case()], ids=["overflow", "concave"])
@@ -441,7 +468,7 @@ def test_refine_matches_scipy_trf_from_a_bound(model, truth, start, seed):
     box, finds no lower RSS than refine."""
     optimize = pytest.importorskip("scipy.optimize")
     series = noisy_series(model, truth, seed)
-    t, y = series.times, series.cumulative
+    t, y = np.array(series.times), np.array(series.cumulative)
     lo, hi = search_bounds(model, series.n)
     kernel = _KERNELS[model]
     floor = np.nextafter(lo, np.inf)

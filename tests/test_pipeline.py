@@ -147,6 +147,16 @@ def test_parse_issues_records_skip_notes():
     assert len(result.skipped) == 2
 
 
+@pytest.mark.parametrize("labels", [5, "bug", {"name": "bug"}], ids=["int", "str", "dict"])
+def test_parse_issues_skips_a_record_whose_labels_are_not_a_list(labels):
+    """An int used to raise TypeError, a string became one label per
+    character and a dict one label per key; each record is skipped now."""
+    doc = json.dumps([{**raw(1), "labels": labels}, raw(2)])
+    result = parse_issues(doc)
+    assert [r.id for r in result.records] == [2]
+    assert len(result.skipped) == 1 and "labels" in result.skipped[0]
+
+
 def test_parse_issues_duplicate_ids_keep_first():
     doc = json.dumps([
         raw(7, "2021-03-01T00:00:00Z", title="first"),
@@ -457,7 +467,7 @@ def test_segment_releases_matches_the_definition(case, min_faults):
         expected_series.append((w.name, horizon, [t or TIME_EPSILON for t in times]))
 
     assert outcome.dropped == expected_dropped
-    assert [(s.label, s.horizon, s.times.tolist()) for s in outcome.series] == expected_series
+    assert [(s.label, s.horizon, list(s.times)) for s in outcome.series] == expected_series
 
 
 def test_segment_releases_bounds_and_equal_timestamps():
@@ -467,7 +477,7 @@ def test_segment_releases_bounds_and_equal_timestamps():
     outcome = segment_releases(
         issues, [window("b", 5, 9), window("a", 0, 5)], min_faults=1
     )
-    assert [(s.label, s.times.tolist()) for s in outcome.series] == [
+    assert [(s.label, list(s.times)) for s in outcome.series] == [
         ("a", [TIME_EPSILON, 2.0]),
         ("b", [TIME_EPSILON, TIME_EPSILON]),
     ]

@@ -29,7 +29,7 @@ def test_explicit_counts_round_trip():
 
 def test_times_coerced_to_float_array():
     s = FailureSeries(times=[1, 2, 3], horizon=5)
-    assert s.times.dtype == np.float64
+    assert all(type(v) is float for v in s.times)
     assert isinstance(s.horizon, float)
 
 

@@ -22,13 +22,40 @@ from srgrowth.stats import (
     inter_rater_agreement,
     kruskal_wallis,
     laplace_factor,
+    mean,
     pool_scores,
     rank_models,
+    sample_sd,
 )
 
 
 def series_of(times, horizon):
     return FailureSeries(times=np.asarray(times, dtype=float), horizon=horizon)
+
+
+# ---------------------------------------------------------------------------
+# sums in numpy's order
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # below 8 values, one block of 8, around the 128-value block limit, and
+    # long enough for several levels of halving
+    n=st.one_of(st.integers(1, 7), st.just(8), st.integers(127, 129), st.integers(1, 5000)),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.sampled_from([0.0, 1.0, -3.5, 1e6]),
+    spread=st.floats(0.0, 8.0),
+)
+def test_mean_and_sample_sd_round_as_numpy(n, seed, offset, spread):
+    """Bit for bit against np.mean and np.std(ddof=1) on values whose
+    magnitudes span up to 16 decades, where the summation order shows."""
+    rng = np.random.default_rng(seed)
+    x = offset + rng.standard_normal(n) * 10.0 ** rng.uniform(-spread, spread, n)
+    values = x.tolist()
+    assert mean(values).hex() == float(np.mean(x)).hex()
+    if n >= 2:
+        assert sample_sd(values).hex() == float(np.std(x, ddof=1)).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +212,7 @@ def test_pooled_ranks_equal_the_loop_bitwise(groups):
     arrays = [np.asarray(g, dtype=float) for g in groups]
     ranks, tie_sum = _pooled_ranks(arrays)
     expected_ranks, expected_tie_sum = loop_pooled_ranks(arrays)
-    assert ranks.tobytes() == expected_ranks.tobytes()
+    assert np.array(ranks, dtype=float).tobytes() == expected_ranks.tobytes()
     assert type(tie_sum) is float and tie_sum == expected_tie_sum
 
 
@@ -271,10 +298,10 @@ def test_dunn_two_groups_hand_value():
     p = dunn_posthoc([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     z = 3.0 * math.sqrt(3.0 / 7.0)
     expected = math.erfc(z / math.sqrt(2.0))
-    assert p.shape == (2, 2)
-    assert p[0, 0] == 1.0 and p[1, 1] == 1.0
-    assert_allclose(p[0, 1], expected, rtol=1e-10)
-    assert p[0, 1] == p[1, 0]
+    assert [len(row) for row in p] == [2, 2]
+    assert p[0][0] == 1.0 and p[1][1] == 1.0
+    assert_allclose(p[0][1], expected, rtol=1e-10)
+    assert p[0][1] == p[1][0]
 
 
 def test_dunn_three_groups_bonferroni_factor():
@@ -284,8 +311,8 @@ def test_dunn_three_groups_bonferroni_factor():
     sigma = math.sqrt(3.5)
     p01 = 3.0 * math.erfc((2.0 / sigma) / math.sqrt(2.0))
     p02 = 3.0 * math.erfc((4.0 / sigma) / math.sqrt(2.0))
-    assert_allclose(p[0, 1], min(1.0, p01), rtol=1e-10)
-    assert_allclose(p[0, 2], min(1.0, p02), rtol=1e-10)
+    assert_allclose(p[0][1], min(1.0, p01), rtol=1e-10)
+    assert_allclose(p[0][2], min(1.0, p02), rtol=1e-10)
 
 
 def test_dunn_tie_correction_hand_value():
@@ -294,7 +321,7 @@ def test_dunn_tie_correction_hand_value():
     so z = 2/sqrt(4/3) = sqrt(3)."""
     p = dunn_posthoc([[1.0, 1.0], [2.0, 2.0]])
     expected = math.erfc(math.sqrt(3.0) / math.sqrt(2.0))
-    assert_allclose(p[0, 1], expected, rtol=1e-10)
+    assert_allclose(p[0][1], expected, rtol=1e-10)
 
 
 def test_dunn_matches_scipy_normal_tail():
@@ -318,13 +345,13 @@ def test_dunn_matches_scipy_normal_tail():
                 base_var * (1.0 / sizes[i] + 1.0 / sizes[j])
             )
             expected = min(1.0, 2.0 * stats.norm.sf(abs(z)) * 3)
-            assert_allclose(p[i, j], expected, rtol=1e-12)
+            assert_allclose(p[i][j], expected, rtol=1e-12)
 
 
 def test_dunn_identical_groups_p_capped_at_one():
     p = dunn_posthoc([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-    assert np.all(p <= 1.0)
-    assert np.all(p >= 0.0)
+    assert np.all(np.array(p) <= 1.0)
+    assert np.all(np.array(p) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +401,7 @@ def test_compare_groups_bundles_consistent_pieces():
     assert comp.p_value == p
     assert comp.df == 1
     assert comp.group_labels == ("lo", "hi")
-    assert comp.dunn.shape == (2, 2)
+    assert [len(row) for row in comp.dunn] == [2, 2]
     assert_allclose(comp.eta_squared.value, (h - 1.0) / 4.0, rtol=1e-12)
 
 
