@@ -33,8 +33,6 @@ _EXPORTS = {
     ),
     "fitting": (
         "FitConfig",
-        "FitResult",
-        "GofScores",
         "aic",
         "bic",
         "fit_all",
@@ -45,9 +43,7 @@ _EXPORTS = {
         "rse",
     ),
     "models": (
-        "MODEL_ORDER",
         "ModelDescriptor",
-        "ModelId",
         "ShapeClass",
         "classify",
         "descriptor",
@@ -74,6 +70,12 @@ _EXPORTS = {
         "load_releases_csv",
         "parse_issues",
         "segment_releases",
+    ),
+    "records": (
+        "FitResult",
+        "GofScores",
+        "MODEL_ORDER",
+        "ModelId",
     ),
     "series": (
         "FailureSeries",

@@ -250,19 +250,12 @@ def cmd_ingest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_projects(paths) -> list[tuple[str, list]]:
-    projects = []
-    for path in paths:
-        parsed = parse_issues(Path(path).read_bytes())
-        projects.append((Path(path).stem, parsed.records))
-    return projects
-
-
 def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dict]]:
     """Series per the grouping mode, segment labels, and skipped.csv rows."""
     from .series import FailureSeries
 
-    projects = _load_projects(args.issues)
+    paths = map(Path, args.issues)
+    projects = [(path.stem, parse_issues(path.read_bytes()).records) for path in paths]
     grouping = args.group_by
     series: list[FailureSeries] = []
     segments: dict[str, str] = {}
@@ -311,31 +304,29 @@ def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dic
     return series, segments, skipped
 
 
-def _enough_points(series, need: int, purpose: str, skipped: list[dict]) -> list[FailureSeries]:
-    """The series with at least ``need`` observations; each other one goes to
-    ``skipped``.  Raises ``InsufficientDataError`` when none is left."""
-    kept = []
-    for s in series:
+def _series_stage(
+    args, need: int, purpose: str
+) -> tuple[list[FailureSeries], list[dict], list[dict], dict]:
+    """The stage that ``trend`` and ``fit`` share.
+
+    Groups the series, moves each one with fewer than ``need`` observations
+    to the skipped rows (``InsufficientDataError`` when none is left), and
+    writes trend.csv, segments.csv (when the grouping has segments) and
+    skipped.csv.  Returns the kept series, their trend rows, the skipped
+    rows and the grouping part of the run metadata.
+    """
+    from .stats import laplace_factor
+
+    grouped, segments, skipped = _grouped_series(args)
+    series = []
+    for s in grouped:
         if s.n >= need:
-            kept.append(s)
+            series.append(s)
         else:
             reason = f"only {s.n} observations; {purpose} needs {need}"
             skipped.append({"name": s.label, "reason": reason})
-    if not kept:
+    if not series:
         raise InsufficientDataError(f"no series has the {need} observations {purpose} needs")
-    return kept
-
-
-# ---------------------------------------------------------------------------
-# trend
-# ---------------------------------------------------------------------------
-
-
-def cmd_trend(args) -> int:
-    from .stats import laplace_factor
-
-    series, segments, skipped = _grouped_series(args)
-    series = _enough_points(series, 2, "trend", skipped)
     rows = [trend_row(s.label, laplace_factor(s)) for s in series]
 
     write_csv(args.out / "trend.csv", TREND_COLUMNS, rows)
@@ -350,11 +341,18 @@ def cmd_trend(args) -> int:
     meta = {
         "grouping": args.group_by,
         "min_faults": args.min_faults,
-        "series": {
-            row["series"]: {"n": row["n"], "segment": segments.get(row["series"], "all")}
-            for row in rows
-        },
+        "series": {s.label: {"n": s.n, "segment": segments.get(s.label, "all")} for s in series},
     }
+    return series, rows, skipped, meta
+
+
+# ---------------------------------------------------------------------------
+# trend
+# ---------------------------------------------------------------------------
+
+
+def cmd_trend(args) -> int:
+    _, rows, skipped, meta = _series_stage(args, 2, "trend")
     _write_meta(args, "run_metadata.json", meta, trend=rows, skipped=skipped)
     for row in rows:
         flag = "growth" if row["growth_significant"] else "no significant growth"
@@ -390,31 +388,23 @@ def _parse_models(raw: str | None) -> list[ModelId]:
 
 
 def cmd_fit(args) -> int:
-    import numpy as np
-
     from .fitting import FitConfig, fit_all
     from .models import descriptor, mean_value
-    from .stats import laplace_factor
 
     models = _parse_models(args.models)
     cfg = FitConfig(search_budget=args.budget, rng_seed=args.seed)
-    series, segments, skipped = _grouped_series(args)
-    fit_min = min(descriptor(m).k for m in models) + 1
-    fitted_series = _enough_points(series, fit_min, "fitting", skipped)
+    need = min(descriptor(m).k for m in models) + 1
+    series, trend_rows, skipped, meta = _series_stage(args, need, "fitting")
 
-    slugs = unique_slugs([s.label for s in fitted_series])
+    slugs = unique_slugs([s.label for s in series])
     curves_dir = args.out / "curves"
     curves_dir.mkdir(parents=True, exist_ok=True)
 
     gof_records = []
-    trend_rows = []
-    series_meta = {}
-    for s in fitted_series:
-        trend_rows.append(trend_row(s.label, laplace_factor(s)))
+    for s in series:
         results = fit_all(s, models, cfg)
-        times = np.asarray(s.times)
         curves = [
-            mean_value(r.model, r.params, times).tolist()
+            mean_value(r.model, r.params, s.times).tolist()
             if all(math.isfinite(v) for v in r.params)
             else [None] * s.n
             for r in results
@@ -425,33 +415,13 @@ def cmd_fit(args) -> int:
             zip(s.times, s.cumulative, *curves),
         )
         gof_records.extend(gof_record(s.label, r) for r in results)
-        series_meta[s.label] = {
-            "n": s.n,
-            "segment": segments.get(s.label, "all"),
-            "curve": f"curves/{slugs[s.label]}.csv",
-        }
+        meta["series"][s.label]["curve"] = f"curves/{slugs[s.label]}.csv"
 
     write_csv(args.out / "gof.csv", GOF_COLUMNS, map(gof_row, gof_records))
-    write_csv(args.out / "trend.csv", TREND_COLUMNS, trend_rows)
-    write_csv(args.out / "skipped.csv", SKIPPED_COLUMNS, skipped)
-    if segments:
-        write_csv(
-            args.out / "segments.csv",
-            SEGMENT_COLUMNS,
-            [(s.label, series_meta[s.label]["segment"]) for s in fitted_series],
-        )
-
-    meta = {
-        "seed": args.seed,
-        "budget": args.budget,
-        "models": [m.value for m in models],
-        "grouping": args.group_by,
-        "min_faults": args.min_faults,
-        "series": series_meta,
-    }
+    meta.update(seed=args.seed, budget=args.budget, models=[m.value for m in models])
     _write_meta(args, "run_metadata.json", meta, gof=gof_records, trend=trend_rows, skipped=skipped)
     print(
-        f"fitted {len(models)} models to {len(fitted_series)} series "
+        f"fitted {len(models)} models to {len(series)} series "
         f"({len(skipped)} skipped) -> {args.out}"
     )
     return 0
@@ -488,7 +458,7 @@ def _load_fits(dirs) -> dict[str, list]:
 
 def cmd_compare(args) -> int:
     from .records import MODEL_ORDER
-    from .stats import compare_groups, pool_scores, sample_sd
+    from .stats import compare_groups, mean, pool_scores, sample_sd
 
     metric = args.metric
 
@@ -524,7 +494,7 @@ def cmd_compare(args) -> int:
         for model in models:
             row = {"segment": segment, "model": model.value, "n": len(scores[model][metric])}
             for name, values in scores[model].items():
-                row[f"{name}_mean"] = sum(values) / len(values) if values else None
+                row[f"{name}_mean"] = mean(values) if values else None
                 row[f"{name}_sd"] = sample_sd(values) if len(values) >= 2 else None
             summary_rows.append(row)
 

@@ -235,7 +235,8 @@ def _screen(kernel, candidates, t, y, screen: _Screen, best_rss) -> tuple[np.nda
     candidates = candidates[keep]
     if candidates.shape[0] == 0:
         return none
-    bound = partial[keep] + _envelope(candidates, m[keep], screen)
+    with np.errstate(over="ignore"):  # an overflow makes the bound infinite
+        bound = partial[keep] + _envelope(candidates, m[keep], screen)
     finite = np.isfinite(bound)
     lead = int(np.argmin(np.where(finite, bound, math.inf)))
     if not (finite[lead] and bound[lead] <= best_rss * screen.slack):

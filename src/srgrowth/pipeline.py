@@ -183,18 +183,19 @@ def parse_issues(document: bytes | str) -> ParseResult:
 
     Records are sorted by creation time.  Records missing their id or
     creation time are skipped with a note; malformed JSON raises
-    ``ParseError`` carrying the byte offset of the failure.
+    ``ParseError`` carrying the byte offset of the failure.  One leading
+    UTF-8 byte-order mark is skipped; offsets still count its 3 bytes.
     """
     if isinstance(document, bytes):
-        text = document.decode("utf-8")
-    else:
-        text = document
+        document = document.decode("utf-8")
+    text = document.removeprefix("\ufeff")
+    bom_bytes = 3 * (len(document) - len(text))
 
     skipped: list[str] = []
     records: list[IssueRecord] = []
 
     def byte_offset(char_pos: int) -> int:
-        return len(text[:char_pos].encode("utf-8"))
+        return bom_bytes + len(text[:char_pos].encode("utf-8"))
 
     stripped = text.lstrip()
     if stripped.startswith("["):
@@ -508,7 +509,7 @@ def classify_attribute(metric: str, value: int) -> str:
 def load_releases_csv(path: str | Path) -> list[ReleaseWindow]:
     """Read release windows from a CSV with header name,start,end."""
     windows = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         _require_columns(reader, {"name", "start", "end"}, path)
         for row in reader:
@@ -529,7 +530,7 @@ def load_attributes_csv(path: str | Path) -> dict[str, ProjectAttributes]:
     """Read project attributes from a CSV with header
     project,category,loc,noc,noi,nofa."""
     table: dict[str, ProjectAttributes] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         _require_columns(reader, {"project", "category", "loc", "noc", "noi", "nofa"}, path)
         for row in reader:

@@ -383,7 +383,7 @@ def rank_models(
                 raise SegmentCoverageError(
                     f"model {model} has no finite {metric} values in segment {segment!r}"
                 )
-            seg_means[model] = sum(values) / len(values)
+            seg_means[model] = mean(values)
         means[segment] = seg_means
 
     higher = _HIGHER_IS_BETTER[metric]

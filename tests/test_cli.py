@@ -10,6 +10,7 @@ import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import srgrowth
@@ -632,9 +633,19 @@ def test_statistics_verbs_leave_numpy_unloaded(tmp_path, two_projects, verb):
     assert (tmp_path / verb / "report.json").exists()
 
 
+def test_package_record_exports_leave_numpy_unloaded():
+    """The model ids and fit records live in the numpy-free records module."""
+    names = "ModelId, MODEL_ORDER, FitResult, GofScores"
+    _run_leaving_unloaded(f"from srgrowth import {names}", "numpy")
+
+
 def test_every_package_export_resolves():
     for name in srgrowth.__all__:
         assert getattr(srgrowth, name) is not None, name
+    from srgrowth import fitting, models
+
+    assert srgrowth.ModelId is models.ModelId
+    assert srgrowth.FitResult is fitting.FitResult
     assert set(srgrowth.__all__) <= set(dir(srgrowth))
     with pytest.raises(AttributeError):
         srgrowth.no_such_export
@@ -690,6 +701,63 @@ def test_skipped_csv_rows_are_report_skipped(tmp_path, verb, reason):
         {"name": "solo:feb", "reason": "only 0 faults (min 1)"},
         {"name": "solo:mar", "reason": reason},
     ]
+
+
+@pytest.mark.parametrize("grouping", ["whole", "domain", "releases"])
+def test_fit_writes_the_trend_tables_of_trend(tmp_path, two_projects, grouping):
+    """fit's trend.csv, segments.csv and skipped.csv are trend's, and its
+    series map is trend's plus each series' curve."""
+    a, b = two_projects
+    args = ["--issues", str(a), str(b)]
+    if grouping == "domain":
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text("project,category,loc,noc,noi,nofa\n"
+                         "alpha,C1,5000,50,400,200\n"
+                         "beta,C2,50000,150,3000,1000\n")
+        args += ["--group-by", "domain", "--attributes", str(attrs)]
+    elif grouping == "releases":
+        releases = tmp_path / "releases.csv"
+        releases.write_text(
+            "name,start,end\n"
+            "early,2021-01-01T00:00:00Z,2021-07-01T00:00:00Z\n"
+            "late,2021-07-01T00:00:00Z,2022-06-01T00:00:00Z\n"
+        )
+        # beta has 15 faults in the late window
+        args += ["--group-by", "releases", "--releases", str(releases), "--min-faults", "20"]
+    trend, fit = tmp_path / "trend", tmp_path / "fit"
+    assert main(["trend", *args, "--out", str(trend)]) == 0
+    assert main(["fit", *args, "--models", "GO,MO", "--budget", "100", "--out", str(fit)]) == 0
+
+    tables = ["trend.csv", "skipped.csv"] + (["segments.csv"] if grouping == "domain" else [])
+    for name in tables:
+        assert (fit / name).read_bytes() == (trend / name).read_bytes(), name
+    assert (fit / "segments.csv").exists() == (trend / "segments.csv").exists() == (
+        grouping == "domain"
+    )
+    if grouping == "releases":
+        assert "beta:late,only 15 faults (min 20)" in (trend / "skipped.csv").read_text()
+
+    trend_series = read_json(trend / "run_metadata.json")["series"]
+    fit_series = read_json(fit / "run_metadata.json")["series"]
+    assert len(trend_series) >= 2
+    assert {name: {**entry, "curve": fit_series[name]["curve"]}
+            for name, entry in trend_series.items()} == fit_series
+
+
+def test_compare_mean_rounds_as_numpy(tmp_path):
+    """Ten r2 values of 0.1 add up to 0.9999999999999999 left to right, as
+    Python 3.11's sum adds them, but to 1.0 in numpy's pairwise order."""
+    fits = tmp_path / "fit"
+    fits.mkdir()
+    rows = [f"s{i},{model},1,1,,1,{r2!r},1,1,1,true"
+            for i in range(10) for model, r2 in (("GO", 0.1), ("DU", 0.2 + i / 100))]
+    (fits / "gof.csv").write_text("\n".join(["series,model,a,b,c,rss,r2,aic,bic,rse,converged",
+                                             *rows]) + "\n")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--fits", str(fits), "--out", str(out)]) == 0
+    with open(out / "summary.csv", newline="", encoding="utf-8") as handle:
+        means = {row["model"]: float(row["r2_mean"]) for row in csv.DictReader(handle)}
+    assert means["GO"].hex() == np.mean([0.1] * 10).hex()
 
 
 def test_no_report_json_without_format_json(tmp_path, two_projects):

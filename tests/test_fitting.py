@@ -128,6 +128,13 @@ def brute_search(model, series, cfg):
     return best
 
 
+def tied_case():
+    """417 failures at one time: DU's first chunk at seed 1952 holds a draw
+    whose screen RSS and envelope are finite but overflow when added."""
+    series = FailureSeries(times=[math.exp(0.5)] * 417, horizon=math.exp(0.5))
+    return series, FitConfig(search_budget=50, rng_seed=1952)
+
+
 @st.composite
 def search_cases(draw):
     """Short series at budgets around the chunk size, or long ones at
@@ -207,6 +214,7 @@ def overflow_case():
 @example(case=zigzag_case())
 @example(case=step_case())
 @example(case=overflow_case())
+@example(case=tied_case())
 @example(case=concave_case())
 def test_initial_search_equals_brute_force(model, case):
     """Screening draws on the last point, then on a bound from a few points,

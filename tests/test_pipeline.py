@@ -188,6 +188,40 @@ def test_parse_issues_corrupt_ndjson_offset_counts_bytes_not_chars():
     assert err.value.offset >= expected_line_start
 
 
+BOM_INPUTS = {
+    "array": json.dumps([raw(2, "2021-03-02T00:00:00Z"), raw(1)]),
+    "ndjson": "\n".join(json.dumps(raw(i)) for i in (3, 1, 2)) + "\n",
+    "releases": "name,start,end\nr1,2021-03-01T00:00:00Z,2021-06-01T00:00:00Z\n",
+    "attributes": "project,category,loc,noc,noi,nofa\nalpha,C3,120000,250,1500,800\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOM_INPUTS))
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, kind):
+    """Excel's "CSV UTF-8" and some exporters start a file with a UTF-8 BOM."""
+    text = BOM_INPUTS[kind]
+    if kind in ("array", "ndjson"):
+        plain = parse_issues(text)
+        assert len(plain.records) >= 2
+        assert parse_issues("\ufeff" + text) == plain
+        assert parse_issues(("\ufeff" + text).encode("utf-8")) == plain
+        return
+    load = load_releases_csv if kind == "releases" else load_attributes_csv
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(text, encoding="utf-8")
+    plain = load(path)
+    path.write_text(text, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load(path) == plain
+
+
+def test_parse_issues_offset_counts_the_byte_order_mark():
+    doc = ("\ufeff" + json.dumps(raw(1)) + "\n{\"id\": oops}\n").encode("utf-8")
+    with pytest.raises(ParseError) as err:
+        parse_issues(doc)
+    assert err.value.offset == doc.index(b"oops")
+
+
 def test_issue_round_trips_through_json():
     rec = issue(11, days=2.5, labels=("bug", "ui"), state="closed")
     doc = json.dumps([issue_to_json(rec)])

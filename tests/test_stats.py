@@ -458,6 +458,14 @@ def test_rank_models_breaks_ties_alphabetically():
     assert table.ranks["seg"][ModelId.LL] == 3
 
 
+def test_rank_models_means_round_as_numpy():
+    """Ten values of 0.1 average to exactly 0.1, so DU ties GO's single 0.1
+    and ranks first by name."""
+    results = {"seg": [fabricate("GO", r2=0.1), *(fabricate("DU", r2=0.1) for _ in range(10))]}
+    table = rank_models(results, metric="r2")
+    assert table.ranks["seg"] == {ModelId.DU: 1, ModelId.GO: 2}
+
+
 def test_pool_scores_drops_nan_and_keeps_read_order():
     nan = float("nan")
     failed = FitResult(model=ModelId.LL, params=(nan,) * 3, rss=nan, converged=False,
