@@ -39,6 +39,7 @@ from .errors import (
 from .pipeline import (
     ATTRIBUTE_METRICS,
     DEFAULT_MIN_FAULTS,
+    ReleaseWindow,
     build_series,
     classify_attribute,
     fetch_issues,
@@ -52,8 +53,8 @@ from .pipeline import (
 from .reporting import (
     COMPARISON_COLUMNS,
     DUNN_COLUMNS,
-    EFFECT_LEGEND,
     GOF_COLUMNS,
+    GOF_METRICS,
     SEGMENT_COLUMNS,
     SKIPPED_COLUMNS,
     SUMMARY_COLUMNS,
@@ -70,7 +71,6 @@ from .reporting import (
     write_csv,
     write_json,
 )
-from .scores import GOF_METRICS
 
 # annotations only: the verbs that use these import them when they run,
 # which keeps the CLI's start-up light
@@ -142,14 +142,17 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--issues", nargs="+", required=True, help="normalized issue files, one per project")
         cmd.add_argument("--releases", help="release windows CSV (name,start,end)")
-        cmd.add_argument("--attributes", help="project attributes CSV (project,category,loc,noc,noi,nofa)")
+        cmd.add_argument(
+            "--attributes",
+            help=f"project attributes CSV (project,category,{','.join(ATTRIBUTE_METRICS).lower()})",
+        )
         cmd.add_argument("--group-by", default="whole", choices=GROUPINGS, dest="group_by")
         cmd.add_argument(
             "--min-faults",
             type=int,
             default=DEFAULT_MIN_FAULTS,
             dest="min_faults",
-            help="drop release windows with fewer faults (default 20)",
+            help=f"drop release windows with fewer faults (default {DEFAULT_MIN_FAULTS})",
         )
         if name == "fit":
             cmd.add_argument("--models", help="comma-separated model ids (default: all nine)")
@@ -202,14 +205,29 @@ def _write_meta(args, name: str, meta: dict, **results) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _refuse_repeats(names, what: str) -> None:
+    """Refuse two inputs or series of one name: the second would overwrite
+    the first's output file, or share its rows."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"two {what} are named {name!r}")
+        seen.add(name)
+
+
 def _ingest_sources(args):
     """(stem, ParseResult) per ``--issues`` file, then ``--repo``."""
-    for path in map(Path, args.issues):
+    paths = list(map(Path, args.issues))
+    stems = [path.stem for path in paths]
+    if args.repo:
+        stems.append(args.repo.replace("/", "_"))
+    _refuse_repeats(stems, "inputs")
+    for path in paths:
         yield path.stem, parse_issues(path.read_bytes())
     if args.repo:
         # --token first, then the first environment variable that is set
         token = args.token or next(filter(None, map(os.environ.get, TOKEN_ENV_VARS)), None)
-        yield args.repo.replace("/", "_"), fetch_issues(args.repo, auth_token=token)
+        yield stems[-1], fetch_issues(args.repo, auth_token=token)
 
 
 def cmd_ingest(args) -> int:
@@ -252,8 +270,6 @@ def cmd_ingest(args) -> int:
 
 def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dict]]:
     """Series per the grouping mode, segment labels, and skipped.csv rows."""
-    from .series import FailureSeries
-
     paths = map(Path, args.issues)
     projects = [(path.stem, parse_issues(path.read_bytes()).records) for path in paths]
     grouping = args.group_by
@@ -266,15 +282,13 @@ def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dic
             raise ValueError("--group-by releases needs --releases")
         windows = load_releases_csv(args.releases)
         for project, records in projects:
-            outcome = segment_releases(records, windows, min_faults=args.min_faults)
-            for s in outcome.series:
-                label = f"{project}:{s.label}"
-                series.append(
-                    FailureSeries(times=s.times, horizon=s.horizon, label=label)
-                )
+            # each window named after its project, so its series is too
+            named = [ReleaseWindow(f"{project}:{w.name}", w.start, w.end) for w in windows]
+            outcome = segment_releases(records, named, min_faults=args.min_faults)
+            series.extend(outcome.series)
             for name, count in outcome.dropped:
                 reason = f"only {count} faults (min {args.min_faults})"
-                skipped.append({"name": f"{project}:{name}", "reason": reason})
+                skipped.append({"name": name, "reason": reason})
         return series, segments, skipped
 
     attributes = None
@@ -299,7 +313,7 @@ def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dic
                 segments[project] = attrs.category
             else:
                 metric = grouping.split(":", 1)[1]
-                segments[project] = classify_attribute(metric, attrs.metric(metric))
+                segments[project] = classify_attribute(metric, attrs.metrics[metric])
         series.append(s)
     return series, segments, skipped
 
@@ -309,8 +323,9 @@ def _series_stage(
 ) -> tuple[list[FailureSeries], list[dict], list[dict], dict]:
     """The stage that ``trend`` and ``fit`` share.
 
-    Groups the series, moves each one with fewer than ``need`` observations
-    to the skipped rows (``InsufficientDataError`` when none is left), and
+    Groups the series, refuses two of one name, moves each one with fewer
+    than ``need`` observations to the skipped rows
+    (``InsufficientDataError`` when none is left), and
     writes trend.csv, segments.csv (when the grouping has segments) and
     skipped.csv.  Returns the kept series, their trend rows, the skipped
     rows and the grouping part of the run metadata.
@@ -318,6 +333,8 @@ def _series_stage(
     from .stats import laplace_factor
 
     grouped, segments, skipped = _grouped_series(args)
+    # a project file's stem, or its stem and a release name, names a series
+    _refuse_repeats([*(s.label for s in grouped), *(row["name"] for row in skipped)], "series")
     series = []
     for s in grouped:
         if s.n >= need:
@@ -458,7 +475,7 @@ def _load_fits(dirs) -> dict[str, list]:
 
 def cmd_compare(args) -> int:
     from .records import MODEL_ORDER
-    from .stats import compare_groups, mean, pool_scores, sample_sd
+    from .stats import EFFECT_LEGEND, compare_groups, mean, pool_scores, sample_sd
 
     metric = args.metric
 

@@ -41,8 +41,14 @@ EXCLUSION_KEYWORDS = frozenset({"duplicat"})
 # a record's labels are searched as one string, joined by a character no
 # keyword or exclusion term contains, so no match spans two labels
 _LABEL_SEPARATOR = "\0"
+# the ``search`` of one pattern per list, which finds any of its terms
+_DEFECT_SEARCH, _EXCLUSION_SEARCH = (
+    re.compile("|".join(map(re.escape, sorted(terms)))).search
+    for terms in (DEFECT_KEYWORDS, EXCLUSION_KEYWORDS)
+)
 
 DEFAULT_MIN_FAULTS = 20
+_API_URL = "https://api.github.com"
 # rate-limit sleeps a fetch takes before it gives up
 RATE_LIMIT_WAITS = 3
 
@@ -98,20 +104,12 @@ class SegmentationResult:
 
 @dataclass(frozen=True)
 class ProjectAttributes:
+    """A project's domain category and its value of each of
+    ``ATTRIBUTE_METRICS``, keyed by that upper-case name."""
+
     project: str
     category: str
-    loc: int
-    noc: int
-    noi: int
-    nofa: int
-
-    def metric(self, name: str) -> int:
-        return {
-            "LOC": self.loc,
-            "NOC": self.noc,
-            "NOI": self.noi,
-            "NOFA": self.nofa,
-        }[name.upper()]
+    metrics: dict[str, int]
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -140,6 +138,17 @@ def _normalize_labels(raw) -> tuple[str, ...]:
 _MISSING = object()
 
 
+def _integer_id(raw) -> int | None:
+    """``raw`` as an id: an int, an integral float or a string of digits;
+    None for a bool, a non-integral or non-finite float, or anything else."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        return None
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        return None
+
+
 def _record_from_dict(obj, skipped: list[str], where: str, index: int) -> IssueRecord | None:
     """The record of one issue object, or None with a note in ``skipped``
     that names the object as ``where`` followed by ``index``."""
@@ -160,9 +169,8 @@ def _record_from_dict(obj, skipped: list[str], where: str, index: int) -> IssueR
     except ValueError:
         skipped.append(f"{where}{index}: unreadable created_at {raw_created!r}")
         return None
-    try:
-        issue_id = int(raw_id)
-    except (TypeError, ValueError):
+    issue_id = _integer_id(raw_id)
+    if issue_id is None:
         skipped.append(f"{where}{index}: unreadable id {raw_id!r}")
         return None
     raw_labels = get("labels")
@@ -277,7 +285,6 @@ def fetch_issues(
     *,
     session=None,
     sleep=_time.sleep,
-    base_url: str = "https://api.github.com",
 ) -> ParseResult:
     """Fetch all issues of ``owner/name`` from the tracker's REST listing.
 
@@ -303,7 +310,7 @@ def fetch_issues(
     page = 1
     waits = 0
     while True:
-        url = f"{base_url}/repos/{repo_slug}/issues"
+        url = f"{_API_URL}/repos/{repo_slug}/issues"
         params = {"state": "all", "per_page": page_size, "page": page}
         try:
             response = session.get(url, params=params, headers=headers, timeout=30)
@@ -374,7 +381,7 @@ def _rate_limit_delay(headers) -> float | None:
 
 def filter_defects(
     issues: Iterable[IssueRecord],
-    exclusions: frozenset[str] | set[str] = EXCLUSION_KEYWORDS,
+    *,
     include_title: bool = False,
     excluded: list[IssueRecord] | None = None,
 ) -> list[IssueRecord]:
@@ -383,38 +390,22 @@ def filter_defects(
     An issue matches when any label contains any of ``DEFECT_KEYWORDS``
     (case-insensitive substring); ``include_title`` extends the matching
     (not the exclusions) to the issue title.  A match is kept unless a
-    label also contains an exclusion term, in which case it is appended
-    to ``excluded`` when that is a list.  The filter is idempotent.
-    Exclusion terms must not contain NUL.
+    label also contains one of ``EXCLUSION_KEYWORDS``, in which case it
+    is appended to ``excluded`` when that is a list.  The filter is
+    idempotent.
     """
-    exclusion = _alternation(exclusions)
-    defect = _DEFECT_SEARCH
+    defect, exclusion = _DEFECT_SEARCH, _EXCLUSION_SEARCH
     kept = []
     for issue in issues:
         labels = _LABEL_SEPARATOR.join(issue.labels).lower()
         if not (defect(labels) or (include_title and defect(issue.title.lower()))):
             continue
-        # an empty term is in every label, but an issue without labels has none
-        if exclusion is not None and issue.labels and exclusion(labels):
+        if exclusion(labels):
             if excluded is not None:
                 excluded.append(issue)
         else:
             kept.append(issue)
     return kept
-
-
-def _alternation(terms):
-    """The ``search`` method of one pattern that finds any of the lowered
-    ``terms`` as a substring, or None when there are no terms."""
-    lowered = sorted({term.lower() for term in terms})
-    if not lowered:
-        return None
-    if any(_LABEL_SEPARATOR in term for term in lowered):
-        raise ValueError("filter terms must not contain NUL")
-    return re.compile("|".join(map(re.escape, lowered))).search
-
-
-_DEFECT_SEARCH = _alternation(DEFECT_KEYWORDS)
 
 
 def build_series(
@@ -507,51 +498,50 @@ def classify_attribute(metric: str, value: int) -> str:
 
 
 def load_releases_csv(path: str | Path) -> list[ReleaseWindow]:
-    """Read release windows from a CSV with header name,start,end."""
-    windows = []
+    """Read release windows from a CSV with header name,start,end; each
+    window needs a name of its own."""
+    windows: dict[str, ReleaseWindow] = {}
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         _require_columns(reader, {"name", "start", "end"}, path)
         for row in reader:
+            name = row["name"]
+            if name in windows:
+                raise ValueError(f"{path}: release {name!r} is named twice")
             try:
-                windows.append(
-                    ReleaseWindow(
-                        name=row["name"],
-                        start=parse_timestamp(row["start"]),
-                        end=parse_timestamp(row["end"]),
-                    )
+                windows[name] = ReleaseWindow(
+                    name=name,
+                    start=parse_timestamp(row["start"]),
+                    end=parse_timestamp(row["end"]),
                 )
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
-    return windows
+    return list(windows.values())
 
 
 def load_attributes_csv(path: str | Path) -> dict[str, ProjectAttributes]:
-    """Read project attributes from a CSV with header
-    project,category,loc,noc,noi,nofa."""
+    """Read project attributes from a CSV with the columns project,
+    category and, in lower case, each of ``ATTRIBUTE_METRICS``; each
+    project may have one row."""
+    columns = {metric: metric.lower() for metric in ATTRIBUTE_METRICS}
     table: dict[str, ProjectAttributes] = {}
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
-        _require_columns(reader, {"project", "category", "loc", "noc", "noi", "nofa"}, path)
+        _require_columns(reader, {"project", "category", *columns.values()}, path)
         for row in reader:
-            category = row["category"].strip()
+            project, category = row["project"], row["category"].strip()
+            if project in table:
+                raise ValueError(f"{path}: project {project!r} has two rows")
             if not _CATEGORY_RE.match(category):
                 raise ValueError(
                     f"{path}: category must be C1..C8, got {category!r} "
-                    f"for project {row['project']!r}"
+                    f"for project {project!r}"
                 )
             try:
-                attrs = ProjectAttributes(
-                    project=row["project"],
-                    category=category,
-                    loc=int(row["loc"]),
-                    noc=int(row["noc"]),
-                    noi=int(row["noi"]),
-                    nofa=int(row["nofa"]),
-                )
+                metrics = {metric: int(row[column]) for metric, column in columns.items()}
             except ValueError as exc:
-                raise ValueError(f"{path}: bad attribute row for {row['project']!r}: {exc}") from exc
-            table[attrs.project] = attrs
+                raise ValueError(f"{path}: bad attribute row for {project!r}: {exc}") from exc
+            table[project] = ProjectAttributes(project, category, metrics)
     return table
 
 

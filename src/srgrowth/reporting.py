@@ -17,13 +17,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import __version__
-from .scores import EFFECT_THRESHOLDS, GOF_METRICS
 
 if TYPE_CHECKING:
     from .records import FitResult, ModelId
     from .stats import GroupComparison, RankingTable, TrendResult
 
-GOF_COLUMNS = ("series", "model", "a", "b", "c", "rss", "r2", "aic", "bic", "rse", "converged")
+# the fit scores, in the order of their columns
+GOF_METRICS = ("r2", "aic", "bic", "rse")
+
+GOF_COLUMNS = ("series", "model", "a", "b", "c", "rss", *GOF_METRICS, "converged")
 TREND_COLUMNS = ("series", "n", "horizon_days", "laplace_u", "growth_significant")
 SEGMENT_COLUMNS = ("series", "segment")
 SKIPPED_COLUMNS = ("name", "reason")
@@ -53,12 +55,6 @@ FORMULA_VARIANTS = {
         "descent direction leaves the box are held, steps projected to bounds"
     ),
 }
-
-EFFECT_LEGEND = (
-    f"eta^2 labels: negligible < {EFFECT_THRESHOLDS[0]}, "
-    f"small >= {EFFECT_THRESHOLDS[0]}, moderate >= {EFFECT_THRESHOLDS[1]}, "
-    f"large >= {EFFECT_THRESHOLDS[2]}"
-)
 
 
 def fmt_float(value: float | None) -> str:
@@ -123,10 +119,7 @@ def gof_record(label: str, result: FitResult) -> dict:
         "model": result.model.value,
         "params": list(result.params),
         "rss": result.rss,
-        "r2": result.gof.r2,
-        "aic": result.gof.aic,
-        "bic": result.gof.bic,
-        "rse": result.gof.rse,
+        **{metric: getattr(result.gof, metric) for metric in GOF_METRICS},
         "converged": result.converged,
         "iterations_used": result.iterations_used,
     }
@@ -180,12 +173,7 @@ def read_gof_csv(path: Path) -> list[tuple[str, FitResult]]:
                 rss=float(row["rss"]),
                 converged=row["converged"] == "true",
                 iterations_used=0,
-                gof=GofScores(
-                    r2=float(row["r2"]),
-                    aic=float(row["aic"]),
-                    bic=float(row["bic"]),
-                    rse=float(row["rse"]),
-                ),
+                gof=GofScores(**{metric: float(row[metric]) for metric in GOF_METRICS}),
             )
             out.append((row["series"], result))
     return out

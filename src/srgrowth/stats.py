@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import InsufficientDataError, SegmentCoverageError
 from .records import MODEL_ORDER, FitResult, ModelId
-from .scores import EFFECT_THRESHOLDS, GOF_METRICS
+from .reporting import GOF_METRICS
 
 if TYPE_CHECKING:
     from .series import FailureSeries
@@ -41,6 +41,11 @@ _H_SUBNORMAL = -math.log(sys.float_info.min)
 _HIGHER_IS_BETTER = {"r2": True, "aic": False, "bic": False, "rse": False}
 
 EFFECT_LABELS = ("negligible", "small", "moderate", "large")
+# the least eta^2 of each label after the first
+EFFECT_THRESHOLDS = (0.01, 0.06, 0.14)
+EFFECT_LEGEND = f"eta^2 labels: negligible < {EFFECT_THRESHOLDS[0]}, " + ", ".join(
+    f"{label} >= {threshold}" for label, threshold in zip(EFFECT_LABELS[1:], EFFECT_THRESHOLDS)
+)
 
 
 @dataclass(frozen=True)

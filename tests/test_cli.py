@@ -808,3 +808,80 @@ def test_unknown_format_is_a_usage_error_before_any_output(tmp_path, capsys, ver
     assert exc.value.code == 2
     assert "unknown output formats ['xml']" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _refused_before_any_output(argv, out, capsys, message):
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, what", [("ingest", "inputs"), ("trend", "series"), ("fit", "series")])
+def test_two_inputs_of_one_name_are_refused(tmp_path, capsys, verb, what):
+    """Both would write proj.ndjson, or both would be the series proj."""
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+    a = write_issues(tmp_path / "a" / "proj.json", 30)
+    b = write_issues(tmp_path / "b" / "proj.ndjson", 25)
+    argv = [verb, "--issues", str(a), str(b)]
+    _refused_before_any_output(argv, tmp_path / "out", capsys, f"two {what} are named 'proj'")
+
+
+def test_two_release_series_of_one_name_are_refused(tmp_path, capsys):
+    """Project a's release b:c and project a:b's release c are both a:b:c."""
+    a = write_issues(tmp_path / "a.json", 40)
+    ab = write_issues(tmp_path / "a:b.json", 40)
+    releases = tmp_path / "releases.csv"
+    releases.write_text(
+        "name,start,end\n"
+        "c,2021-01-01T00:00:00Z,2021-04-01T00:00:00Z\n"
+        "b:c,2021-04-01T00:00:00Z,2021-12-01T00:00:00Z\n"
+    )
+    argv = ["trend", "--issues", str(a), str(ab), "--group-by", "releases",
+            "--releases", str(releases), "--min-faults", "1"]
+    _refused_before_any_output(argv, tmp_path / "out", capsys, "two series are named 'a:b:c'")
+
+
+def test_ingest_refuses_a_file_named_as_the_fetched_repo(tmp_path, capsys, monkeypatch):
+    def fetch_not_expected(*args, **kwargs):
+        raise AssertionError("fetched although the names clash")
+
+    monkeypatch.setattr("srgrowth.cli.fetch_issues", fetch_not_expected)
+    local = write_issues(tmp_path / "owner_name.json", 5)
+    argv = ["ingest", "--issues", str(local), "--repo", "owner/name"]
+    _refused_before_any_output(argv, tmp_path / "out", capsys, "two inputs are named 'owner_name'")
+
+
+def test_fit_refuses_a_release_named_twice(tmp_path, two_projects, capsys):
+    releases = tmp_path / "releases.csv"
+    releases.write_text(
+        "name,start,end\n"
+        "r1,2021-01-01T00:00:00Z,2021-03-01T00:00:00Z\n"
+        "r1,2021-03-01T00:00:00Z,2021-12-01T00:00:00Z\n"
+    )
+    argv = ["fit", "--issues", *map(str, two_projects), "--group-by", "releases",
+            "--releases", str(releases)]
+    _refused_before_any_output(argv, tmp_path / "out", capsys, "'r1' is named twice")
+
+
+def test_fit_refuses_a_project_with_two_attribute_rows(tmp_path, two_projects, capsys):
+    attrs = tmp_path / "attrs.csv"
+    attrs.write_text(
+        "project,category,loc,noc,noi,nofa\n"
+        "alpha,C1,5000,50,500,100\n"
+        "beta,C2,50000,200,5000,1000\n"
+        "alpha,C3,500000,500,50000,10000\n"
+    )
+    argv = ["fit", "--issues", *map(str, two_projects), "--group-by", "domain",
+            "--attributes", str(attrs)]
+    _refused_before_any_output(argv, tmp_path / "out", capsys, "'alpha' has two rows")
+
+
+def test_ingest_skips_an_infinite_id(tmp_path):
+    raw = write_issues(tmp_path / "raw.json", 3)
+    raw.write_text(raw.read_text().replace('"id": 2,', '"id": Infinity,'))
+    out = tmp_path / "out"
+    assert main(["ingest", "--issues", str(raw), "--out", str(out)]) == 0
+    stats = read_json(out / "summary.json")["inputs"]["raw"]
+    assert (stats["total"], stats["kept"]) == (2, 2)
+    assert stats["parse_skip_notes"] == ["record 1: unreadable id inf"]

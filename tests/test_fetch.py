@@ -194,3 +194,16 @@ def test_fetch_sorts_across_pages():
     ])
     records = fetch_issues("o/r", page_size=2, session=session).records
     assert [r.id for r in records] == [1, 4, 5]
+
+
+def test_fetch_skips_ids_that_are_not_integers():
+    """A bool, a non-integral or a non-finite number is no id; an int, an
+    integral float and a string of digits are."""
+    bad = [True, 1.7, 2.9, float("inf"), float("nan"), "1.5", None]
+    page = [entry(i) for i in (*bad, 3, 4.0, "5")]
+    session = FakeSession([FakeResponse(payload=page)])
+    result = fetch_issues("owner/repo", page_size=100, session=session)
+    assert [r.id for r in result.records] == [3, 4, 5]
+    assert [note.split(": ", 1)[1] for note in result.skipped] == [
+        f"unreadable id {value!r}" for value in bad
+    ]

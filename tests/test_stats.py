@@ -575,3 +575,52 @@ def test_inter_rater_agreement_needs_two_segments():
     )
     with pytest.raises(InsufficientDataError):
         inter_rater_agreement(table)
+
+
+# a few repeated values, so that ties are common, and any finite value
+score_values = st.sampled_from([-2.0, 0.0, 0.5, 1.0]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def score_tables(draw):
+    """{segment: fit results} in which every segment has a finite value of
+    every score for every model, and the metric to rank them by."""
+    models = draw(st.lists(st.sampled_from(MODEL_ORDER), min_size=1, unique=True))
+    segments = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    results = {
+        segment: [
+            FitResult(
+                model=model, params=(1.0, 1.0), rss=1.0, converged=True, iterations_used=3,
+                gof=GofScores(*draw(st.lists(score_values, min_size=4, max_size=4))),
+            )
+            for model in models
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        for segment in segments
+    }
+    return results, draw(st.sampled_from(["r2", "aic", "bic", "rse"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=score_tables())
+def test_rank_models_gives_every_segment_a_permutation(case):
+    results, metric = case
+    table = rank_models(results, metric)
+    k = len(table.models)
+    assert set(table.models) == {r.model for rs in results.values() for r in rs}
+    assert table.segments == tuple(results)
+    for segment in table.segments:
+        assert sorted(table.ranks[segment].values()) == list(range(1, k + 1))
+    if len(table.segments) < 2:
+        assert table.ira_percent is None
+    else:
+        assert 0.0 <= table.ira_percent <= 100.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=score_tables(), copies=st.integers(2, 4))
+def test_segments_with_the_same_means_agree_fully(case, copies):
+    results, metric = case
+    same = next(iter(results.values()))
+    table = rank_models({f"s{i}": same for i in range(copies)}, metric)
+    assert table.ira_percent == 100.0
