@@ -53,6 +53,7 @@ from .pipeline import (
 from .reporting import (
     COMPARISON_COLUMNS,
     DUNN_COLUMNS,
+    EFFECT_LEGEND,
     GOF_COLUMNS,
     GOF_METRICS,
     SEGMENT_COLUMNS,
@@ -457,7 +458,8 @@ def _load_fits(dirs) -> dict[str, list]:
     else to ``fallback``.  An ungrouped fit (``grouping`` ``whole``) records
     ``all`` for every series, which says nothing, so its series go to
     ``fallback`` too.  Segments and their results keep the order in which
-    they are first read.
+    they are first read.  Metadata that is not an object, or whose
+    ``series`` entries are not objects with a string ``segment``, is refused.
     """
     groups: dict[str, list] = {}
     for path, label, fallback in dirs:
@@ -466,7 +468,12 @@ def _load_fits(dirs) -> dict[str, list]:
             raise ValueError(f"{path} is not a fit output directory (no gof.csv)")
         meta_path = path / "run_metadata.json"
         meta = read_json(meta_path) if meta_path.exists() else {}
-        recorded = meta.get("series", {}) if meta.get("grouping") != "whole" else {}
+        recorded = meta.get("series", {}) if isinstance(meta, dict) else None
+        entries = recorded.values() if isinstance(recorded, dict) else [None]
+        if not all(isinstance(e, dict) and isinstance(e.get("segment", ""), str) for e in entries):
+            raise ValueError(f"{meta_path}: not the run metadata of a fit")
+        if meta.get("grouping") == "whole":
+            recorded = {}
         for series, result in read_gof_csv(gof_path):
             segment = label or recorded.get(series, {}).get("segment") or fallback
             groups.setdefault(segment, []).append(result)
@@ -475,7 +482,7 @@ def _load_fits(dirs) -> dict[str, list]:
 
 def cmd_compare(args) -> int:
     from .records import MODEL_ORDER
-    from .stats import EFFECT_LEGEND, compare_groups, mean, pool_scores, sample_sd
+    from .stats import compare_groups, mean, pool_scores, sample_sd
 
     metric = args.metric
 
@@ -491,22 +498,14 @@ def cmd_compare(args) -> int:
     for segment in segment_names:
         scores = pool_scores(by_segment[segment])
         models = [m for m in MODEL_ORDER if scores.get(m, {}).get(metric)]
-        if len(models) < 2:
-            raise InsufficientDataError(
-                f"segment {segment!r} has {metric} values for {len(models)} model(s); "
-                "comparison needs at least 2 groups"
-            )
         groups = [scores[m][metric] for m in models]
-        n_total = sum(len(g) for g in groups)
-        if n_total <= len(models):
-            raise InsufficientDataError(
-                f"segment {segment!r} has {n_total} values across {len(models)} models; "
-                "comparison needs more series than models"
-            )
-        comparison = compare_groups([m.value for m in models], groups)
+        try:
+            comparison = compare_groups([m.value for m in models], groups)
+        except InsufficientDataError as exc:
+            raise InsufficientDataError(f"segment {segment!r}, {metric}: {exc}") from exc
         record = comparison_to_dict(segment, metric, comparison)
         records.append(record)
-        comparison_rows.append({**record, "k": len(models), "n": n_total})
+        comparison_rows.append({**record, "k": len(models), "n": sum(map(len, groups))})
         dunn_rows.extend({"segment": segment, **pair} for pair in record["dunn"])
         for model in models:
             row = {"segment": segment, "model": model.value, "n": len(scores[model][metric])}

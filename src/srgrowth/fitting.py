@@ -56,9 +56,8 @@ from .errors import (
 )
 from .models import _KERNELS, descriptor, search_bounds, validate_params
 from .records import MODEL_ORDER, FitResult, GofScores, ModelId
+from .reporting import RSS_FLOOR
 from .series import FailureSeries
-
-RSS_FLOOR = 1e-12
 
 # refine's stopping rules; see its docstring
 REFINE_MAX_ITERATIONS = 1000

@@ -11,7 +11,6 @@ by their structural metrics.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 import time as _time
@@ -29,6 +28,7 @@ from .errors import (
     RateLimitError,
     UnknownRepoError,
 )
+from .reporting import read_csv
 
 if TYPE_CHECKING:
     from .series import FailureSeries
@@ -501,21 +501,18 @@ def load_releases_csv(path: str | Path) -> list[ReleaseWindow]:
     """Read release windows from a CSV with header name,start,end; each
     window needs a name of its own."""
     windows: dict[str, ReleaseWindow] = {}
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        _require_columns(reader, {"name", "start", "end"}, path)
-        for row in reader:
-            name = row["name"]
-            if name in windows:
-                raise ValueError(f"{path}: release {name!r} is named twice")
-            try:
-                windows[name] = ReleaseWindow(
-                    name=name,
-                    start=parse_timestamp(row["start"]),
-                    end=parse_timestamp(row["end"]),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+    for row in read_csv(path, ("name", "start", "end")):
+        name = row["name"]
+        if name in windows:
+            raise ValueError(f"{path}: release {name!r} is named twice")
+        try:
+            windows[name] = ReleaseWindow(
+                name=name,
+                start=parse_timestamp(row["start"]),
+                end=parse_timestamp(row["end"]),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return list(windows.values())
 
 
@@ -525,28 +522,18 @@ def load_attributes_csv(path: str | Path) -> dict[str, ProjectAttributes]:
     project may have one row."""
     columns = {metric: metric.lower() for metric in ATTRIBUTE_METRICS}
     table: dict[str, ProjectAttributes] = {}
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        _require_columns(reader, {"project", "category", *columns.values()}, path)
-        for row in reader:
-            project, category = row["project"], row["category"].strip()
-            if project in table:
-                raise ValueError(f"{path}: project {project!r} has two rows")
-            if not _CATEGORY_RE.match(category):
-                raise ValueError(
-                    f"{path}: category must be C1..C8, got {category!r} "
-                    f"for project {project!r}"
-                )
-            try:
-                metrics = {metric: int(row[column]) for metric, column in columns.items()}
-            except ValueError as exc:
-                raise ValueError(f"{path}: bad attribute row for {project!r}: {exc}") from exc
-            table[project] = ProjectAttributes(project, category, metrics)
+    for row in read_csv(path, ("project", "category", *columns.values())):
+        project, category = row["project"], row["category"].strip()
+        if project in table:
+            raise ValueError(f"{path}: project {project!r} has two rows")
+        if not _CATEGORY_RE.match(category):
+            raise ValueError(
+                f"{path}: category must be C1..C8, got {category!r} "
+                f"for project {project!r}"
+            )
+        try:
+            metrics = {metric: int(row[column]) for metric, column in columns.items()}
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad attribute row for {project!r}: {exc}") from exc
+        table[project] = ProjectAttributes(project, category, metrics)
     return table
-
-
-def _require_columns(reader: csv.DictReader, needed: set[str], path) -> None:
-    have = set(reader.fieldnames or ())
-    missing = needed - have
-    if missing:
-        raise ValueError(f"{path}: missing columns {sorted(missing)}")

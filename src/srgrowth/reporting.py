@@ -1,4 +1,6 @@
-"""Report serialization: CSV and JSON writers plus readers for fit outputs.
+"""Report serialization: CSV and JSON writers, one CSV reader for every table
+read back, and the rules that the reports state (score directions, the
+Laplace critical value, the RSS floor and the eta-squared cuts).
 
 Numbers are printed with 17 significant digits, enough for float64 values
 to round-trip exactly, so downstream commands reading a fit directory see
@@ -22,10 +24,12 @@ if TYPE_CHECKING:
     from .records import FitResult, ModelId
     from .stats import GroupComparison, RankingTable, TrendResult
 
-# the fit scores, in the order of their columns
-GOF_METRICS = ("r2", "aic", "bic", "rse")
+# each fit score, in the order of its columns, and whether higher is better
+GOF_METRICS = {"r2": True, "aic": False, "bic": False, "rse": False}
+# the fitted parameters, in model order; a model with fewer leaves the rest empty
+PARAM_COLUMNS = ("a", "b", "c")
 
-GOF_COLUMNS = ("series", "model", "a", "b", "c", "rss", *GOF_METRICS, "converged")
+GOF_COLUMNS = ("series", "model", *PARAM_COLUMNS, "rss", *GOF_METRICS, "converged")
 TREND_COLUMNS = ("series", "n", "horizon_days", "laplace_u", "growth_significant")
 SEGMENT_COLUMNS = ("series", "segment")
 SKIPPED_COLUMNS = ("name", "reason")
@@ -35,17 +39,28 @@ SUMMARY_COLUMNS = ("segment", "model", "n") + tuple(
     f"{metric}_{stat}" for metric in GOF_METRICS for stat in ("mean", "sd")
 )
 
+# the two-sided 5% point of the normal: growth is significant when u < -LAPLACE_CRITICAL
+LAPLACE_CRITICAL = 1.96
+# the least RSS whose logarithm the information criteria take
+RSS_FLOOR = 1e-12
+EFFECT_LABELS = ("negligible", "small", "moderate", "large")
+# the least eta^2 of each label after the first
+EFFECT_THRESHOLDS = (0.01, 0.06, 0.14)
+EFFECT_LEGEND = f"eta^2 labels: negligible < {EFFECT_THRESHOLDS[0]}, " + ", ".join(
+    f"{label} >= {threshold}" for label, threshold in zip(EFFECT_LABELS[1:], EFFECT_THRESHOLDS)
+)
+
 # How the ambiguous formulas are computed in this tool; recorded in every
 # run's metadata so reports are self-describing.
 FORMULA_VARIANTS = {
-    "aic": "n*ln(max(rss,1e-12)/n) + 2*(k+1)",
-    "bic": "n*ln(max(rss,1e-12)/n) + (k+1)*ln(n)",
+    "aic": f"n*ln(max(rss,{RSS_FLOOR})/n) + 2*(k+1)",
+    "bic": f"n*ln(max(rss,{RSS_FLOOR})/n) + (k+1)*ln(n)",
     "rse": "sqrt(rss/(n-k))",
     "r2": "1 - ss_res/ss_tot",
-    "laplace": "u = (mean(t) - T/2)/(T*sqrt(1/(12n))); growth significant when u < -1.96",
+    "laplace": f"u = (mean(t) - T/2)/(T*sqrt(1/(12n))); growth significant when u < -{LAPLACE_CRITICAL}",
     "kruskal_wallis": "average ranks with tie correction; p from chi-square, df=k-1",
     "dunn": "z on mean ranks with tie term; two-sided p * k(k-1)/2, capped at 1",
-    "eta_squared": "(H - k + 1)/(n - k); labels negligible/small/moderate/large at 0.01/0.06/0.14",
+    "eta_squared": f"(H - k + 1)/(n - k); labels {'/'.join(EFFECT_LABELS)} at {'/'.join(map(str, EFFECT_THRESHOLDS))}",
     "inter_rater_agreement": (
         "agreeing (model, segment-pair) rank cells / (models * segment pairs) * 100"
     ),
@@ -127,7 +142,7 @@ def gof_record(label: str, result: FitResult) -> dict:
 
 def gof_row(record: dict) -> dict:
     """The gof.csv row of a ``gof_record``: its params in columns a, b, c."""
-    return {**record, **dict(zip("abc", (*record["params"], None, None)))}
+    return {**record, **dict(zip(PARAM_COLUMNS, (*record["params"], None, None)))}
 
 
 def trend_row(label: str, trend: TrendResult) -> dict:
@@ -152,6 +167,27 @@ def ranking_rows(table: RankingTable) -> list[list]:
     return [[model, *(table.ranks[s][model] for s in table.segments)] for model in ordered]
 
 
+def read_csv(path: str | Path, columns: Iterable[str]) -> list[dict[str, str]]:
+    """The rows of the CSV file at ``path``, each a dict keyed by its header.
+
+    The header must name each of ``columns`` and may follow a UTF-8
+    byte-order mark.  A row with fewer fields than the header raises
+    ``ValueError`` naming the file and the line.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.DictReader(handle)
+        missing = set(columns) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{path}: missing columns {sorted(missing)}")
+        rows = []
+        for row in reader:
+            # DictReader fills the fields a short row lacks with None
+            if None in row.values():
+                raise ValueError(f"{path}: line {reader.line_num} has fewer fields than the header")
+            rows.append(row)
+    return rows
+
+
 def read_gof_csv(path: Path) -> list[tuple[str, FitResult]]:
     """Read a gof.csv back into (series, FitResult) pairs.
 
@@ -161,21 +197,16 @@ def read_gof_csv(path: Path) -> list[tuple[str, FitResult]]:
     from .records import FitResult, GofScores, ModelId
 
     out: list[tuple[str, FitResult]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(GOF_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        for row in reader:
-            result = FitResult(
-                model=ModelId(row["model"]),
-                params=tuple(float(row[c]) for c in ("a", "b", "c") if row[c] != ""),
-                rss=float(row["rss"]),
-                converged=row["converged"] == "true",
-                iterations_used=0,
-                gof=GofScores(**{metric: float(row[metric]) for metric in GOF_METRICS}),
-            )
-            out.append((row["series"], result))
+    for row in read_csv(path, GOF_COLUMNS):
+        result = FitResult(
+            model=ModelId(row["model"]),
+            params=tuple(float(row[c]) for c in PARAM_COLUMNS if row[c] != ""),
+            rss=float(row["rss"]),
+            converged=row["converged"] == "true",
+            iterations_used=0,
+            gof=GofScores(**{metric: float(row[metric]) for metric in GOF_METRICS}),
+        )
+        out.append((row["series"], result))
     return out
 
 

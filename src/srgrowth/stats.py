@@ -27,25 +27,13 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import InsufficientDataError, SegmentCoverageError
 from .records import MODEL_ORDER, FitResult, ModelId
-from .reporting import GOF_METRICS
+from .reporting import EFFECT_LABELS, EFFECT_THRESHOLDS, GOF_METRICS, LAPLACE_CRITICAL
 
 if TYPE_CHECKING:
     from .series import FailureSeries
 
-LAPLACE_CRITICAL = 1.96
-
 # past this h, e^-h is no longer a normal float
 _H_SUBNORMAL = -math.log(sys.float_info.min)
-# R^2 ranks high-to-low; the information criteria and the residual standard
-# error rank low-to-high.
-_HIGHER_IS_BETTER = {"r2": True, "aic": False, "bic": False, "rse": False}
-
-EFFECT_LABELS = ("negligible", "small", "moderate", "large")
-# the least eta^2 of each label after the first
-EFFECT_THRESHOLDS = (0.01, 0.06, 0.14)
-EFFECT_LEGEND = f"eta^2 labels: negligible < {EFFECT_THRESHOLDS[0]}, " + ", ".join(
-    f"{label} >= {threshold}" for label, threshold in zip(EFFECT_LABELS[1:], EFFECT_THRESHOLDS)
-)
 
 
 @dataclass(frozen=True)
@@ -369,7 +357,7 @@ def rank_models(
     """
     metric = metric.lower()
     if metric not in GOF_METRICS:
-        raise ValueError(f"metric must be one of {GOF_METRICS}, got {metric!r}")
+        raise ValueError(f"metric must be one of {tuple(GOF_METRICS)}, got {metric!r}")
     if not results:
         raise InsufficientDataError("no segments to rank")
 
@@ -391,16 +379,10 @@ def rank_models(
             seg_means[model] = mean(values)
         means[segment] = seg_means
 
-    higher = _HIGHER_IS_BETTER[metric]
+    sign = -1.0 if GOF_METRICS[metric] else 1.0
     ranks: dict[str, dict[ModelId, int]] = {}
     for segment in segments:
-        ordered = sorted(
-            models,
-            key=lambda m: (
-                -means[segment][m] if higher else means[segment][m],
-                m.value,
-            ),
-        )
+        ordered = sorted(models, key=lambda m: (sign * means[segment][m], m.value))
         ranks[segment] = {model: i + 1 for i, model in enumerate(ordered)}
 
     table = RankingTable(

@@ -15,7 +15,7 @@ import pytest
 
 import srgrowth
 from srgrowth.cli import main
-from srgrowth.reporting import read_json
+from srgrowth.reporting import GOF_COLUMNS, read_json
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
 
@@ -490,13 +490,14 @@ def test_fit_gof_csv_rows_mirror_report_json(tmp_path, two_projects):
             assert same_cell(row[column], expected[column]), column
 
 
-def test_compare_single_series_per_segment_exits_three(tmp_path, two_projects):
+def test_compare_single_series_per_segment_exits_three(tmp_path, two_projects, capsys):
     a, _ = two_projects
     fit_out = tmp_path / "fit"
     assert main(["fit", "--issues", str(a), "--budget", "300",
                  "--out", str(fit_out)]) == 0
     assert main(["compare", "--fits", str(fit_out),
                  "--out", str(tmp_path / "cmp")]) == 3
+    assert "segment 'all', r2: " in capsys.readouterr().err
 
 
 def fit_by_domain(tmp_path, two_projects, categories):
@@ -602,6 +603,21 @@ def _run_leaving_unloaded(code: str, module: str) -> None:
 def test_cli_import_leaves_requests_unloaded():
     """Only fetching needs requests, so starting the CLI must not load it."""
     _run_leaving_unloaded("import srgrowth.cli", "requests")
+
+
+@pytest.mark.parametrize("module", ["srgrowth.stats", "srgrowth.records", "srgrowth.fitting"])
+def test_cli_import_leaves_the_analysis_modules_unloaded(module):
+    """The report rules the CLI needs at start-up live in reporting, so
+    starting it loads none of the modules that only the verbs use."""
+    _run_leaving_unloaded("import srgrowth.cli", module)
+
+
+@pytest.mark.parametrize("verb", ["compare", "rank"])
+def test_metric_choices_are_listed_in_help(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    assert exc.value.code == 0
+    assert "{r2,aic,bic,rse}" in capsys.readouterr().out
 
 
 def test_package_import_leaves_numpy_unloaded():
@@ -885,3 +901,49 @@ def test_ingest_skips_an_infinite_id(tmp_path):
     stats = read_json(out / "summary.json")["inputs"]["raw"]
     assert (stats["total"], stats["kept"]) == (2, 2)
     assert stats["parse_skip_notes"] == ["record 1: unreadable id inf"]
+
+
+@pytest.mark.parametrize("option, name, text", [
+    ("--releases", "releases.csv", "name,start,end\nr1,2020-01-01T00:00:00Z\n"),
+    ("--attributes", "attrs.csv", "project,category,loc,noc,noi,nofa\na,C1\n"),
+    ("--fits", "gof.csv", ",".join(GOF_COLUMNS) + "\na,GO,1\n"),
+], ids=["releases", "attributes", "gof"])
+def test_a_short_csv_row_is_refused_with_its_file_and_line(
+    tmp_path, two_projects, capsys, option, name, text
+):
+    if option == "--fits":
+        path = tmp_path / "fit" / name
+        path.parent.mkdir()
+        argv = ["compare", "--fits", str(path.parent)]
+    else:
+        path = tmp_path / name
+        grouping = "releases" if option == "--releases" else "domain"
+        argv = ["trend", "--issues", *map(str, two_projects), "--group-by", grouping,
+                option, str(path)]
+    path.write_text(text)
+    _refused_before_any_output(argv, tmp_path / "out", capsys, f"{path}: line 2 has fewer fields")
+
+
+@pytest.fixture(scope="module")
+def good_fit(tmp_path_factory):
+    out = tmp_path_factory.mktemp("good") / "fit"
+    issues = [write_issues(out.parent / f"{name}.json", 40) for name in ("alpha", "beta")]
+    assert main(["fit", "--issues", *map(str, issues), "--models", "GO,MO",
+                 "--budget", "100", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("verb", ["compare", "rank"])
+@pytest.mark.parametrize("meta", [
+    [1, 2],
+    {"grouping": "domain", "series": {"alpha": "C1"}},
+    {"grouping": "domain", "series": {"alpha": {"segment": 5}}},
+], ids=["not-an-object", "entry-not-an-object", "segment-not-a-string"])
+def test_malformed_fit_metadata_is_refused(tmp_path, capsys, good_fit, verb, meta):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "gof.csv").write_bytes((good_fit / "gof.csv").read_bytes())
+    (bad / "run_metadata.json").write_text(json.dumps(meta))
+    argv = [verb, "--fits", str(good_fit), str(bad)]
+    message = f"{bad / 'run_metadata.json'}: not the run metadata of a fit"
+    _refused_before_any_output(argv, tmp_path / "out", capsys, message)

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from srgrowth.errors import InsufficientDataError, SegmentCoverageError
 from srgrowth.fitting import FitResult, GofScores
 from srgrowth.models import MODEL_ORDER, ModelId
+from srgrowth.reporting import GOF_METRICS
 from srgrowth.series import FailureSeries
 from srgrowth.stats import (
     RankingTable,
@@ -442,6 +443,22 @@ def test_rank_models_orders_by_mean_and_direction():
     assert by_aic.ranks["seg"][ModelId.DU] == 1   # lowest aic wins
     assert by_aic.ranks["seg"][ModelId.GO] == 2
     assert by_aic.ranks["seg"][ModelId.MO] == 3
+
+
+@pytest.mark.parametrize("metric", GOF_METRICS)
+def test_rank_models_direction_of_each_score(metric):
+    """R^2 ranks highest first; the information criteria and the residual
+    standard error rank lowest first."""
+
+    def scored(model, value):
+        gof = GofScores(**{name: value for name in GOF_METRICS})
+        return FitResult(model=ModelId(model), params=(1.0, 1.0), rss=1.0,
+                         converged=True, iterations_used=3, gof=gof)
+
+    table = rank_models({"seg": [scored("GO", 1.0), scored("MO", 2.0), scored("DU", 3.0)]}, metric)
+    best_first = sorted(table.models, key=table.ranks["seg"].get)
+    expected = ["DU", "MO", "GO"] if metric == "r2" else ["GO", "MO", "DU"]
+    assert [model.value for model in best_first] == expected
 
 
 def test_rank_models_breaks_ties_alphabetically():
