@@ -455,11 +455,12 @@ def _load_fits(dirs) -> dict[str, list]:
 
     Each series of ``path`` goes to ``label`` when one is given, else to the
     segment that the ``series`` map of its ``run_metadata.json`` records,
-    else to ``fallback``.  An ungrouped fit (``grouping`` ``whole``) records
-    ``all`` for every series, which says nothing, so its series go to
-    ``fallback`` too.  Segments and their results keep the order in which
-    they are first read.  Metadata that is not an object, or whose
-    ``series`` entries are not objects with a string ``segment``, is refused.
+    else to ``fallback``.  A series without a segment (ungrouped, or by
+    releases) is recorded as ``all``, which says nothing and is never a real
+    segment, so such series go to ``fallback`` too.  Segments and their
+    results keep the order in which they are first read.  Metadata that is
+    not an object, or whose ``series`` entries are not objects with a string
+    ``segment``, is refused.
     """
     groups: dict[str, list] = {}
     for path, label, fallback in dirs:
@@ -472,10 +473,9 @@ def _load_fits(dirs) -> dict[str, list]:
         entries = recorded.values() if isinstance(recorded, dict) else [None]
         if not all(isinstance(e, dict) and isinstance(e.get("segment", ""), str) for e in entries):
             raise ValueError(f"{meta_path}: not the run metadata of a fit")
-        if meta.get("grouping") == "whole":
-            recorded = {}
         for series, result in read_gof_csv(gof_path):
-            segment = label or recorded.get(series, {}).get("segment") or fallback
+            segment = recorded.get(series, {}).get("segment")
+            segment = label or (segment if segment != "all" else None) or fallback
             groups.setdefault(segment, []).append(result)
     return groups
 

@@ -417,8 +417,8 @@ def build_series(
 
     With a window only issues in [start, end) count and time zero is the
     window start; otherwise time zero is the first issue and the horizon
-    is the last one.  Times of exactly zero are shifted to 1e-6 so the
-    series stays strictly positive.
+    is the last one.  Times under 1e-6 days (86.4 ms) are raised to 1e-6,
+    so the series stays strictly positive and nondecreasing.
     """
     # only series building needs it; keep ingest's start-up light
     from .series import FailureSeries
@@ -432,7 +432,7 @@ def build_series(
 
     start = window.start if window is not None else ordered[0].created_at
     days = [(r.created_at - start).total_seconds() / SECONDS_PER_DAY for r in ordered]
-    times = [d if d != 0.0 else TIME_EPSILON for d in days]
+    times = [max(d, TIME_EPSILON) for d in days]
     if window is not None:
         horizon = (window.end - window.start).total_seconds() / SECONDS_PER_DAY
     else:

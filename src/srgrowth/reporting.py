@@ -171,8 +171,8 @@ def read_csv(path: str | Path, columns: Iterable[str]) -> list[dict[str, str]]:
     """The rows of the CSV file at ``path``, each a dict keyed by its header.
 
     The header must name each of ``columns`` and may follow a UTF-8
-    byte-order mark.  A row with fewer fields than the header raises
-    ``ValueError`` naming the file and the line.
+    byte-order mark.  A row with fewer or more fields than the header
+    raises ``ValueError`` naming the file and the line.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
@@ -181,7 +181,10 @@ def read_csv(path: str | Path, columns: Iterable[str]) -> list[dict[str, str]]:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
         rows = []
         for row in reader:
-            # DictReader fills the fields a short row lacks with None
+            # DictReader files the fields a long row adds under the key None
+            # and fills the fields a short row lacks with None
+            if None in row:
+                raise ValueError(f"{path}: line {reader.line_num} has more fields than the header")
             if None in row.values():
                 raise ValueError(f"{path}: line {reader.line_num} has fewer fields than the header")
             rows.append(row)

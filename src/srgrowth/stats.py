@@ -11,9 +11,10 @@ The module answers three questions about fitted results:
 Everything here is plain Python over small samples, so the verbs that
 only test and compare load no numpy.  Chi-square tail probabilities come
 from the closed form for integer degrees of freedom (Abramowitz & Stegun
-26.4.4-26.4.5), normal tails from ``math.erfc``.  ``mean`` and
-``sample_sd`` add in numpy's pairwise order, so they round exactly as
-``np.mean`` and ``np.std(ddof=1)`` do.
+26.4.4-26.4.5), normal tails from ``math.erfc``.  Floats are summed with
+``math.fsum``, whose result is correctly rounded, so a mean or a standard
+deviation depends only on the values and not on their order (nor on the
+Python version, whose built-in ``sum`` rounds differently from 3.12 on).
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import add
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import InsufficientDataError, SegmentCoverageError
@@ -79,46 +78,15 @@ class RankingTable:
     ira_percent: float | None
 
 
-# ---------------------------------------------------------------------------
-# sums in numpy's order
-# ---------------------------------------------------------------------------
-
-
-def _pairwise_sum(values: Sequence[float], lo: int, hi: int) -> float:
-    """values[lo:hi] summed as numpy's pairwise summation does: fewer than
-    8 values one by one; up to 128 values in 8 running sums of every 8th
-    value, combined as a tree, plus the leftover tail one by one; beyond
-    that the two halves, split at a multiple of 8, each summed this way."""
-    n = hi - lo
-    if n < 8:
-        total = 0.0
-        for i in range(lo, hi):
-            total += values[i]
-        return total
-    if n <= 128:
-        end = hi - n % 8
-        r = [reduce(add, values[j:end:8]) for j in range(lo, lo + 8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, hi):
-            total += values[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
-
-
 def mean(values: Sequence[float]) -> float:
-    """The arithmetic mean, rounded exactly as ``np.mean`` rounds it."""
-    # numpy adds the pairwise sum to its identity 0.0, which turns -0.0 into 0.0
-    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
+    """The arithmetic mean, from the correctly rounded sum of ``values``."""
+    return math.fsum(values) / len(values)
 
 
 def sample_sd(values: Sequence[float]) -> float:
-    """The standard deviation with n - 1 degrees of freedom, rounded exactly
-    as ``np.std(values, ddof=1)`` rounds it."""
+    """The standard deviation with n - 1 degrees of freedom."""
     centre = mean(values)
-    squares = [(v - centre) * (v - centre) for v in values]
-    return math.sqrt((0.0 + _pairwise_sum(squares, 0, len(squares))) / (len(values) - 1))
+    return math.sqrt(math.fsum((v - centre) * (v - centre) for v in values) / (len(values) - 1))
 
 
 def laplace_factor(series: FailureSeries) -> TrendResult:
@@ -166,7 +134,7 @@ def chi2_sf(x: float, df: int) -> float:
             total = math.erfc(math.sqrt(h))
             logs = [(i - 0.5) * log_h - math.lgamma(i + 0.5) for i in range(1, df // 2 + 1)]
         top = max(logs, default=0.0)
-        return total + math.exp(top - h) * sum(math.exp(v - top) for v in logs)
+        return total + math.exp(top - h) * math.fsum(math.exp(v - top) for v in logs)
     if df % 2 == 0:
         term = total = math.exp(-h)
         for i in range(1, df // 2):

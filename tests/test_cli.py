@@ -581,6 +581,58 @@ def test_rank_puts_each_ungrouped_fit_dir_in_its_own_segment(tmp_path, two_proje
     assert read_json(tmp_path / "cmp" / "run_metadata.json")["segments"] == ["all"]
 
 
+def test_rank_puts_each_release_grouped_fit_dir_in_its_own_segment(tmp_path, two_projects):
+    """A fit by releases records segment ``all`` for its series, as an
+    ungrouped fit does."""
+    releases = tmp_path / "releases.csv"
+    releases.write_text(
+        "name,start,end\n"
+        "early,2021-01-01T00:00:00Z,2021-07-01T00:00:00Z\n"
+        "late,2021-07-01T00:00:00Z,2022-06-01T00:00:00Z\n"
+    )
+    dirs = [tmp_path / "fa", tmp_path / "fb"]
+    for issues, out in zip(two_projects, dirs):
+        assert main(["fit", "--issues", str(issues), "--group-by", "releases",
+                     "--releases", str(releases), "--min-faults", "10", "--models", "GO,MO",
+                     "--budget", "100", "--out", str(out)]) == 0
+    out = tmp_path / "rank"
+    assert main(["rank", "--fits", *map(str, dirs), "--out", str(out)]) == 0
+    assert read_json(out / "run_metadata.json")["segments"] == ["fa", "fb"]
+
+
+def fits_of_one_series(tmp_path, du_r2):
+    """Three fit directories of one series each, whose GO rows hold r2 0.1,
+    0.2 and 0.3: added left to right they make 0.6000000000000001, added
+    right to left 0.6."""
+    dirs = []
+    for i, go_r2 in enumerate((0.1, 0.2, 0.3), 1):
+        dirs.append(tmp_path / f"d{i}")
+        dirs[-1].mkdir()
+        rows = [f"s{i},{model},1,1,,1,{r2!r},1,1,1,true"
+                for model, r2 in (("GO", go_r2), ("DU", du_r2))]
+        (dirs[-1] / "gof.csv").write_text("\n".join([",".join(GOF_COLUMNS), *rows]) + "\n")
+    return dirs
+
+
+def test_compare_writes_the_same_bytes_for_fits_in_any_order(tmp_path):
+    dirs = fits_of_one_series(tmp_path, 0.5)
+    outs = tmp_path / "forward", tmp_path / "reversed"
+    for out, order in zip(outs, (dirs, dirs[::-1])):
+        assert main(["compare", "--fits", *map(str, order), "--out", str(out)]) == 0
+    for name in ("comparison.csv", "dunn.csv", "summary.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_rank_gives_the_same_ranks_for_fits_in_any_order(tmp_path):
+    """DU's three r2 values of 0.19999999999999998 average to themselves,
+    which GO's mean only equals when it is correctly rounded."""
+    dirs = fits_of_one_series(tmp_path, 0.19999999999999998)
+    outs = tmp_path / "forward", tmp_path / "reversed"
+    for out, order in zip(outs, (dirs, dirs[::-1])):
+        assert main(["rank", "--fits", *(f"s={d}" for d in order), "--out", str(out)]) == 0
+    assert (outs[0] / "ranking.csv").read_bytes() == (outs[1] / "ranking.csv").read_bytes()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -903,13 +955,20 @@ def test_ingest_skips_an_infinite_id(tmp_path):
     assert stats["parse_skip_notes"] == ["record 1: unreadable id inf"]
 
 
-@pytest.mark.parametrize("option, name, text", [
-    ("--releases", "releases.csv", "name,start,end\nr1,2020-01-01T00:00:00Z\n"),
-    ("--attributes", "attrs.csv", "project,category,loc,noc,noi,nofa\na,C1\n"),
-    ("--fits", "gof.csv", ",".join(GOF_COLUMNS) + "\na,GO,1\n"),
-], ids=["releases", "attributes", "gof"])
+@pytest.mark.parametrize("option, name, text, fields", [
+    ("--releases", "releases.csv", "name,start,end\nr1,2020-01-01T00:00:00Z\n", "fewer"),
+    ("--attributes", "attrs.csv", "project,category,loc,noc,noi,nofa\na,C1\n", "fewer"),
+    ("--fits", "gof.csv", ",".join(GOF_COLUMNS) + "\na,GO,1\n", "fewer"),
+    ("--releases", "releases.csv",
+     "name,start,end\nr1,2020-01-01T00:00:00Z,2021-01-01T00:00:00Z,2022-01-01T00:00:00Z\n",
+     "more"),
+    # a thousands separator splits LOC 5,000 into two fields
+    ("--attributes", "attrs.csv", "project,category,loc,noc,noi,nofa\np,C1,5,000,50,500,100\n",
+     "more"),
+    ("--fits", "gof.csv", ",".join(GOF_COLUMNS) + "\na,GO,1,1,,1,0.5,1,1,1,true,1\n", "more"),
+], ids=["releases", "attributes", "gof", "releases-long", "attributes-long", "gof-long"])
 def test_a_short_csv_row_is_refused_with_its_file_and_line(
-    tmp_path, two_projects, capsys, option, name, text
+    tmp_path, two_projects, capsys, option, name, text, fields
 ):
     if option == "--fits":
         path = tmp_path / "fit" / name
@@ -921,7 +980,8 @@ def test_a_short_csv_row_is_refused_with_its_file_and_line(
         argv = ["trend", "--issues", *map(str, two_projects), "--group-by", grouping,
                 option, str(path)]
     path.write_text(text)
-    _refused_before_any_output(argv, tmp_path / "out", capsys, f"{path}: line 2 has fewer fields")
+    message = f"{path}: line 2 has {fields} fields than the header"
+    _refused_before_any_output(argv, tmp_path / "out", capsys, message)
 
 
 @pytest.fixture(scope="module")

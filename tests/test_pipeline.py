@@ -415,8 +415,12 @@ def test_build_series_days_from_first_issue():
 
 
 def test_build_series_zero_time_nudged_positive():
-    series = build_series([issue(1, 0.0), issue(2, 3.0)])
-    assert series.times[0] == 1e-6
+    """A second issue 10 ms after the first is 1.16e-7 days in, under the
+    1e-6 floor that the first one gets; it is raised to the floor too, so
+    the times stay in order."""
+    ten_ms = 0.01 / SECONDS_PER_DAY
+    series = build_series([issue(1, 0.0), issue(2, ten_ms), issue(3, 1.0), issue(4, 4.0)])
+    assert list(series.times) == [1e-6, 1e-6, 1.0, 4.0]
 
 
 def test_build_series_window_clips_half_open():
@@ -540,7 +544,7 @@ def test_segment_releases_matches_the_definition(case, min_faults):
             continue
         times = [(r.created_at - w.start).total_seconds() / SECONDS_PER_DAY for r in inside]
         horizon = (w.end - w.start).total_seconds() / SECONDS_PER_DAY
-        expected_series.append((w.name, horizon, [t or TIME_EPSILON for t in times]))
+        expected_series.append((w.name, horizon, [max(t, TIME_EPSILON) for t in times]))
 
     assert outcome.dropped == expected_dropped
     assert [(s.label, s.horizon, list(s.times)) for s in outcome.series] == expected_series

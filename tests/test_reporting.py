@@ -1,5 +1,6 @@
 # Report serialization: float formatting, CSV layouts, JSON determinism.
 
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ from srgrowth.models import ModelId, mean_value
 from srgrowth.reporting import (
     FORMULA_VARIANTS,
     GOF_COLUMNS,
+    GOF_METRICS,
     TREND_COLUMNS,
     base_metadata,
     fmt_float,
@@ -32,6 +34,10 @@ def result_of(model="GO", params=(10.0, 0.5), rss=1.5, converged=True):
     gof = GofScores(r2=0.9, aic=-12.5, bic=-10.0, rse=0.25)
     return FitResult(model=ModelId(model), params=tuple(params), rss=rss,
                      converged=converged, iterations_used=7, gof=gof)
+
+
+def test_gof_scores_fields_are_the_gof_metrics_in_order():
+    assert tuple(f.name for f in dataclasses.fields(GofScores)) == tuple(GOF_METRICS)
 
 
 def test_fmt_float_round_trips_exactly():

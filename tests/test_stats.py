@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,28 +36,48 @@ def series_of(times, horizon):
 
 
 # ---------------------------------------------------------------------------
-# sums in numpy's order
+# correctly rounded sums
 # ---------------------------------------------------------------------------
+
+
+def exact_sums(values, centre):
+    """The exact sum of ``values`` and of their squared deviations from
+    ``centre``, as fractions: every float is an integer over a power of two,
+    so over the largest denominator d both are integer sums."""
+    ratios = [v.as_integer_ratio() for v in [*values, centre]]
+    d = max(den for _, den in ratios)
+    scaled = [num * (d // den) for num, den in ratios]
+    c = scaled.pop()
+    return Fraction(sum(scaled), d), Fraction(sum((s - c) ** 2 for s in scaled), d * d)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    # below 8 values, one block of 8, around the 128-value block limit, and
-    # long enough for several levels of halving
+    # a few values, exactly 8, around 128, and up to 5000
     n=st.one_of(st.integers(1, 7), st.just(8), st.integers(127, 129), st.integers(1, 5000)),
     seed=st.integers(0, 2**32 - 1),
     offset=st.sampled_from([0.0, 1.0, -3.5, 1e6]),
     spread=st.floats(0.0, 8.0),
 )
-def test_mean_and_sample_sd_round_as_numpy(n, seed, offset, spread):
-    """Bit for bit against np.mean and np.std(ddof=1) on values whose
-    magnitudes span up to 16 decades, where the summation order shows."""
+def test_mean_and_sample_sd_are_near_exact_and_order_free(n, seed, offset, spread):
+    """Against exact sums, on values whose magnitudes span up to 16 decades:
+    the mean within 1 ulp of the float nearest the exact mean, the standard
+    deviation about that mean within 2 ulps of the float nearest the exact
+    one, and both bit for bit the same for the values shuffled."""
     rng = np.random.default_rng(seed)
     x = offset + rng.standard_normal(n) * 10.0 ** rng.uniform(-spread, spread, n)
     values = x.tolist()
-    assert mean(values).hex() == float(np.mean(x)).hex()
+    shuffled = rng.permutation(x).tolist()
+    centre = mean(values)
+    total, squares = exact_sums(values, centre)
+    oracle = float(total / n)
+    assert abs(centre - oracle) <= math.ulp(oracle)
+    assert mean(shuffled).hex() == centre.hex()
     if n >= 2:
-        assert sample_sd(values).hex() == float(np.std(x, ddof=1)).hex()
+        sd = sample_sd(values)
+        oracle = math.sqrt(float(squares / (n - 1)))
+        assert abs(sd - oracle) <= 2 * math.ulp(oracle)
+        assert sample_sd(shuffled).hex() == sd.hex()
 
 
 # ---------------------------------------------------------------------------
