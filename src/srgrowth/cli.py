@@ -36,22 +36,10 @@ from .errors import (
     InsufficientDataError,
     SegmentCoverageError,
 )
-from .pipeline import (
-    ATTRIBUTE_METRICS,
-    DEFAULT_MIN_FAULTS,
-    ReleaseWindow,
-    build_series,
-    classify_attribute,
-    fetch_issues,
-    filter_defects,
-    issue_to_json,
-    load_attributes_csv,
-    load_releases_csv,
-    parse_issues,
-    segment_releases,
-)
 from .reporting import (
+    ATTRIBUTE_METRICS,
     COMPARISON_COLUMNS,
+    DEFAULT_MIN_FAULTS,
     DUNN_COLUMNS,
     EFFECT_LEGEND,
     GOF_COLUMNS,
@@ -73,8 +61,8 @@ from .reporting import (
     write_json,
 )
 
-# annotations only: the verbs that use these import them when they run,
-# which keeps the CLI's start-up light
+# annotations only: the verbs that use these (and the pipeline) import them
+# when they run, which keeps the CLI's start-up light
 if TYPE_CHECKING:
     from .records import ModelId
     from .series import FailureSeries
@@ -218,6 +206,8 @@ def _refuse_repeats(names, what: str) -> None:
 
 def _ingest_sources(args):
     """(stem, ParseResult) per ``--issues`` file, then ``--repo``."""
+    from .pipeline import fetch_issues, parse_issues
+
     paths = list(map(Path, args.issues))
     stems = [path.stem for path in paths]
     if args.repo:
@@ -234,6 +224,7 @@ def _ingest_sources(args):
 def cmd_ingest(args) -> int:
     if not args.issues and not args.repo:
         raise ValueError("ingest needs --issues files or --repo")
+    from .pipeline import filter_defects, issue_to_json
 
     summary: dict[str, dict] = {}
     for stem, parsed in _ingest_sources(args):
@@ -271,6 +262,9 @@ def cmd_ingest(args) -> int:
 
 def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dict]]:
     """Series per the grouping mode, segment labels, and skipped.csv rows."""
+    from .pipeline import ReleaseWindow, build_series, classify_attribute, parse_issues
+    from .pipeline import load_attributes_csv, load_releases_csv, segment_releases
+
     paths = map(Path, args.issues)
     projects = [(path.stem, parse_issues(path.read_bytes()).records) for path in paths]
     grouping = args.group_by
@@ -519,7 +513,7 @@ def cmd_compare(args) -> int:
     write_csv(args.out / "summary.csv", SUMMARY_COLUMNS, summary_rows)
 
     meta = {"metric": metric, "effect_legend": EFFECT_LEGEND, "segments": segment_names}
-    _write_meta(args, "run_metadata.json", meta, comparisons=records)
+    _write_meta(args, "run_metadata.json", meta, comparisons=records, summary=summary_rows)
 
     for row in records:
         print(

@@ -28,7 +28,7 @@ from .errors import (
     RateLimitError,
     UnknownRepoError,
 )
-from .reporting import read_csv
+from .reporting import ATTRIBUTE_CUTS, ATTRIBUTE_METRICS, DEFAULT_MIN_FAULTS, read_csv
 
 if TYPE_CHECKING:
     from .series import FailureSeries
@@ -47,19 +47,9 @@ _DEFECT_SEARCH, _EXCLUSION_SEARCH = (
     for terms in (DEFECT_KEYWORDS, EXCLUSION_KEYWORDS)
 )
 
-DEFAULT_MIN_FAULTS = 20
 _API_URL = "https://api.github.com"
 # rate-limit sleeps a fetch takes before it gives up
 RATE_LIMIT_WAITS = 3
-
-# lower/upper cut of the middle (M) class; boundary values are M
-_ATTRIBUTE_CUTS = {
-    "LOC": (10_000, 100_000),
-    "NOC": (100, 300),
-    "NOI": (1_000, 10_000),
-    "NOFA": (500, 5_000),
-}
-ATTRIBUTE_METRICS = tuple(_ATTRIBUTE_CUTS)
 
 _CATEGORY_RE = re.compile(r"^C[1-8]$")
 
@@ -186,6 +176,22 @@ def _record_from_dict(obj, skipped: list[str], where: str, index: int) -> IssueR
     )
 
 
+_RAW_DECODE = json.JSONDecoder().raw_decode
+_SKIP_WHITESPACE = json.decoder.WHITESPACE.match
+
+
+def _decode_line(line: str):
+    """``json.loads(line)`` through one reused decoder, cheaper per line: the
+    same value, or the same ``JSONDecodeError`` with its message and position."""
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    obj, end = _RAW_DECODE(line, _SKIP_WHITESPACE(line, 0).end())
+    end = _SKIP_WHITESPACE(line, end).end()
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return obj
+
+
 def parse_issues(document: bytes | str) -> ParseResult:
     """Parse a JSON array or newline-delimited JSON of issue objects.
 
@@ -226,7 +232,7 @@ def parse_issues(document: bytes | str) -> ParseResult:
             if not content:
                 continue
             try:
-                obj = json.loads(content)
+                obj = _decode_line(content)
             except json.JSONDecodeError as exc:
                 line_start = sum(map(len, lines[:index])) + index
                 raise ParseError(
@@ -480,11 +486,11 @@ def classify_attribute(metric: str, value: int) -> str:
     and everything in between, boundaries included, is M.
     """
     name = metric.upper()
-    if name not in _ATTRIBUTE_CUTS:
+    if name not in ATTRIBUTE_CUTS:
         raise ValueError(f"unknown attribute {metric!r}; expected one of {ATTRIBUTE_METRICS}")
     if value < 0:
         raise ValueError(f"attribute {name} must be nonnegative, got {value}")
-    low, high = _ATTRIBUTE_CUTS[name]
+    low, high = ATTRIBUTE_CUTS[name]
     if value < low:
         return "S"
     if value <= high:

@@ -1,6 +1,7 @@
 """Report serialization: CSV and JSON writers, one CSV reader for every table
 read back, and the rules that the reports state (score directions, the
-Laplace critical value, the RSS floor and the eta-squared cuts).
+Laplace critical value, the RSS floor, the eta-squared cuts, the
+attribute size cuts and the ``--min-faults`` default).
 
 Numbers are printed with 17 significant digits, enough for float64 values
 to round-trip exactly, so downstream commands reading a fit directory see
@@ -49,6 +50,16 @@ EFFECT_THRESHOLDS = (0.01, 0.06, 0.14)
 EFFECT_LEGEND = f"eta^2 labels: negligible < {EFFECT_THRESHOLDS[0]}, " + ", ".join(
     f"{label} >= {threshold}" for label, threshold in zip(EFFECT_LABELS[1:], EFFECT_THRESHOLDS)
 )
+# by default, the fewest faults a release window needs to become a series
+DEFAULT_MIN_FAULTS = 20
+# lower/upper cut of each attribute's middle (M) size class; boundary values are M
+ATTRIBUTE_CUTS = {
+    "LOC": (10_000, 100_000),
+    "NOC": (100, 300),
+    "NOI": (1_000, 10_000),
+    "NOFA": (500, 5_000),
+}
+ATTRIBUTE_METRICS = tuple(ATTRIBUTE_CUTS)
 
 # How the ambiguous formulas are computed in this tool; recorded in every
 # run's metadata so reports are self-describing.

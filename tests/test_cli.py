@@ -15,7 +15,7 @@ import pytest
 
 import srgrowth
 from srgrowth.cli import main
-from srgrowth.reporting import GOF_COLUMNS, read_json
+from srgrowth.reporting import GOF_COLUMNS, SUMMARY_COLUMNS, fmt_float, read_csv, read_json
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
 
@@ -189,7 +189,7 @@ def test_ingest_repo_token_precedence(
         calls.append((slug, auth_token))
         return srgrowth.ParseResult(records=records, skipped=notes)
 
-    monkeypatch.setattr("srgrowth.cli.fetch_issues", fake_fetch)
+    monkeypatch.setattr("srgrowth.pipeline.fetch_issues", fake_fetch)
     local = write_issues(tmp_path / "local.json", 5)
     out = tmp_path / "out"
     argv = ["ingest", "--issues", str(local), "--repo", "owner/name", "--out", str(out)]
@@ -644,12 +644,16 @@ def test_no_verb_prints_help(capsys):
     assert "usage" in capsys.readouterr().out.lower()
 
 
-def _run_leaving_unloaded(code: str, module: str) -> None:
-    """Run ``code`` in a fresh interpreter, then fail if it loaded ``module``."""
+def _run_leaving_unloaded(code: str, *modules: str) -> str:
+    """Run ``code`` in a fresh interpreter, then fail if it loaded any of
+    ``modules``; the standard output of ``code``."""
     src = str(Path(srgrowth.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    check = f"\nimport sys; assert {module!r} not in sys.modules, '{module} loaded'"
-    subprocess.run([sys.executable, "-c", code + check], env=env, check=True)
+    check = f"\nimport sys; loaded = set({modules!r}) & sys.modules.keys(); assert not loaded, loaded"
+    run = subprocess.run(
+        [sys.executable, "-c", code + check], env=env, check=True, stdout=subprocess.PIPE, text=True
+    )
+    return run.stdout
 
 
 def test_cli_import_leaves_requests_unloaded():
@@ -657,11 +661,34 @@ def test_cli_import_leaves_requests_unloaded():
     _run_leaving_unloaded("import srgrowth.cli", "requests")
 
 
-@pytest.mark.parametrize("module", ["srgrowth.stats", "srgrowth.records", "srgrowth.fitting"])
+@pytest.mark.parametrize(
+    "module", ["srgrowth.stats", "srgrowth.records", "srgrowth.fitting", "srgrowth.pipeline"]
+)
 def test_cli_import_leaves_the_analysis_modules_unloaded(module):
     """The report rules the CLI needs at start-up live in reporting, so
     starting it loads none of the modules that only the verbs use."""
     _run_leaving_unloaded("import srgrowth.cli", module)
+
+
+def test_cli_import_loads_only_what_every_verb_needs():
+    """Of the package, starting the CLI loads only the modules that every
+    verb uses, and it loads neither datetime nor dataclasses."""
+    code = "import srgrowth.cli, sys; print(*sorted(m for m in sys.modules if m.startswith('srgrowth')))"
+    loaded = _run_leaving_unloaded(code, "datetime", "dataclasses").split()
+    assert loaded == ["srgrowth", "srgrowth.cli", "srgrowth.errors", "srgrowth.reporting"]
+
+
+@pytest.mark.parametrize("verb", ["trend", "fit"])
+def test_grouping_choices_and_min_faults_default_are_listed_in_help(capsys, verb):
+    """The parser takes the attribute cuts and the --min-faults default from
+    reporting, so its help still names them without the pipeline."""
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "attribute:LOC,attribute:NOC,attribute:NOI,attribute:NOFA}" in text
+    assert "(project,category,loc,noc,noi,nofa)" in text
+    assert "(default 20)" in text
 
 
 @pytest.mark.parametrize("verb", ["compare", "rank"])
@@ -914,7 +941,7 @@ def test_ingest_refuses_a_file_named_as_the_fetched_repo(tmp_path, capsys, monke
     def fetch_not_expected(*args, **kwargs):
         raise AssertionError("fetched although the names clash")
 
-    monkeypatch.setattr("srgrowth.cli.fetch_issues", fetch_not_expected)
+    monkeypatch.setattr("srgrowth.pipeline.fetch_issues", fetch_not_expected)
     local = write_issues(tmp_path / "owner_name.json", 5)
     argv = ["ingest", "--issues", str(local), "--repo", "owner/name"]
     _refused_before_any_output(argv, tmp_path / "out", capsys, "two inputs are named 'owner_name'")
@@ -1007,3 +1034,35 @@ def test_malformed_fit_metadata_is_refused(tmp_path, capsys, good_fit, verb, met
     argv = [verb, "--fits", str(good_fit), str(bad)]
     message = f"{bad / 'run_metadata.json'}: not the run metadata of a fit"
     _refused_before_any_output(argv, tmp_path / "out", capsys, message)
+
+
+@pytest.mark.parametrize("verb", ["compare", "rank"])
+def test_compare_and_rank_leave_the_pipeline_unloaded(tmp_path, good_fit, verb):
+    """compare and rank read fit directories, never issues, so they run
+    without the issue pipeline and without datetime."""
+    argv = [verb, "--fits", str(good_fit), "--format", "csv,json", "--out", str(tmp_path / verb)]
+    code = f"from srgrowth.cli import main; assert main({argv!r}) == 0"
+    _run_leaving_unloaded(code, "srgrowth.pipeline", "datetime")
+    assert (tmp_path / verb / "report.json").exists()
+
+
+def test_compare_report_holds_the_summary_rows(tmp_path, good_fit):
+    """report.json's summary is summary.csv, with null for an empty cell."""
+    rows = read_csv(good_fit / "gof.csv", GOF_COLUMNS)
+    rows[-1]["rse"] = "nan"  # leaves MO one rse value, so no rse_sd
+    fit = tmp_path / "fit"
+    fit.mkdir()
+    with open(fit / "gof.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.DictWriter(handle, GOF_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "compare"
+    assert main(["compare", "--fits", str(fit), "--format", "csv,json", "--out", str(out)]) == 0
+    summary = read_json(out / "report.json")["summary"]
+    cells = [
+        {key: fmt_float(v) if isinstance(v, float) else "" if v is None else str(v) for key, v in row.items()}
+        for row in summary
+    ]
+    assert cells == read_csv(out / "summary.csv", SUMMARY_COLUMNS)
+    assert [(row["model"], row["rse_sd"]) for row in summary] == [("GO", 0.0), ("MO", None)]
+    assert all(row.keys() == set(SUMMARY_COLUMNS) for row in cells)

@@ -19,6 +19,7 @@ from srgrowth.pipeline import (
     TIME_EPSILON,
     IssueRecord,
     ReleaseWindow,
+    _decode_line,
     build_series,
     classify_attribute,
     filter_defects,
@@ -268,6 +269,40 @@ def test_any_issue_record_round_trips_through_both_forms(records, ensure_ascii):
         parsed = parse_issues(document.encode("utf-8"))
         assert parsed.skipped == []
         assert parsed.records == expected
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | tricky_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(tricky_text, inner, max_size=3),
+    max_leaves=8,
+)
+json_whitespace = st.text(st.sampled_from(" \t\r\n"), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    value=json_values,
+    indent=st.none() | st.integers(0, 2),
+    cut=st.integers(0, 2),
+    bom=st.booleans(),
+    lead=json_whitespace,
+    tail=json_whitespace,
+    garbage=st.sampled_from(["", "x", "}", "{}", "1", '"a"', "\ufeff", "\x0b"]) | st.text(max_size=3),
+)
+def test_decode_line_matches_json_loads(value, indent, cut, bom, lead, tail, garbage):
+    """One line decodes to what json.loads gives, or fails with its message
+    and position: a leading BOM, trailing garbage and whitespace inside,
+    before and after the value, with up to two characters cut off it."""
+    text = json.dumps(value, indent=indent)
+    line = "\ufeff" * bom + lead + text[: len(text) - cut] + tail + garbage
+    try:
+        expected = json.loads(line)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError) as err:
+            _decode_line(line)
+        assert (err.value.msg, err.value.pos) == (exc.msg, exc.pos)
+    else:
+        assert _decode_line(line) == expected
 
 
 @pytest.mark.parametrize("form", ["array", "ndjson"])
