@@ -53,7 +53,6 @@ _EXPORTS = {
         "validate_params",
     ),
     "pipeline": (
-        "DEFAULT_MIN_FAULTS",
         "DEFECT_KEYWORDS",
         "EXCLUSION_KEYWORDS",
         "IssueRecord",
@@ -77,6 +76,7 @@ _EXPORTS = {
         "MODEL_ORDER",
         "ModelId",
     ),
+    "reporting": ("DEFAULT_MIN_FAULTS",),
     "series": (
         "FailureSeries",
     ),

@@ -454,9 +454,11 @@ def _load_fits(dirs) -> dict[str, list]:
     segment, so such series go to ``fallback`` too.  Segments and their
     results keep the order in which they are first read.  Metadata that is
     not an object, or whose ``series`` entries are not objects with a string
-    ``segment``, is refused.
+    ``segment``, is refused, and so is a fit of one model to one series in
+    one segment read twice, which would count twice.
     """
     groups: dict[str, list] = {}
+    read_from: dict[tuple, Path] = {}
     for path, label, fallback in dirs:
         gof_path = path / "gof.csv"
         if not gof_path.exists():
@@ -470,6 +472,11 @@ def _load_fits(dirs) -> dict[str, list]:
         for series, result in read_gof_csv(gof_path):
             segment = recorded.get(series, {}).get("segment")
             segment = label or (segment if segment != "all" else None) or fallback
+            key = (segment, series, result.model)
+            if key in read_from:
+                first = read_from[key]
+                raise ValueError(f"the {result.model} fit of series {series!r} is in both {first} and {path}")
+            read_from[key] = path
             groups.setdefault(segment, []).append(result)
     return groups
 

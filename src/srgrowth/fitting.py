@@ -56,7 +56,7 @@ from .errors import (
 )
 from .models import _KERNELS, descriptor, search_bounds, validate_params
 from .records import MODEL_ORDER, FitResult, GofScores, ModelId
-from .reporting import GOF_METRICS, RSS_FLOOR
+from .reporting import RSS_FLOOR
 from .series import FailureSeries
 
 # refine's stopping rules; see its docstring
@@ -451,7 +451,7 @@ def _failure_result(model: ModelId) -> FitResult:
         rss=nan,
         converged=False,
         iterations_used=0,
-        gof=GofScores(**dict.fromkeys(GOF_METRICS, nan)),
+        gof=GofScores._make([nan] * len(GofScores._fields)),
     )
 
 

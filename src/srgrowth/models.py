@@ -31,8 +31,8 @@ parameter vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ class ShapeClass(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ModelDescriptor:
+class ModelDescriptor(NamedTuple):
     """Static description of one model.
 
     ``data_scaled`` marks parameters whose default upper fitting bound is

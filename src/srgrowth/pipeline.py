@@ -65,8 +65,7 @@ class IssueRecord(NamedTuple):
     state: str = ""
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     """Parsed records plus notes about records that had to be skipped."""
 
     records: list[IssueRecord]
@@ -86,18 +85,15 @@ class ReleaseWindow:
             raise ValueError(f"release {self.name!r}: start must precede end")
 
 
-@dataclass
-class SegmentationResult:
+class SegmentationResult(NamedTuple):
     series: list[FailureSeries]
     dropped: list[tuple[str, int]]
 
 
-@dataclass(frozen=True)
-class ProjectAttributes:
+class ProjectAttributes(NamedTuple):
     """A project's domain category and its value of each of
     ``ATTRIBUTE_METRICS``, keyed by that upper-case name."""
 
-    project: str
     category: str
     metrics: dict[str, int]
 
@@ -541,5 +537,5 @@ def load_attributes_csv(path: str | Path) -> dict[str, ProjectAttributes]:
             metrics = {metric: int(row[column]) for metric, column in columns.items()}
         except ValueError as exc:
             raise ValueError(f"{path}: bad attribute row for {project!r}: {exc}") from exc
-        table[project] = ProjectAttributes(project, category, metrics)
+        table[project] = ProjectAttributes(category, metrics)
     return table

@@ -4,12 +4,20 @@ Fitting writes these records and the statistics and reports read them;
 they live apart from the kernels and the fitting engine so that verbs
 which never fit can use them without loading numpy.  ``models`` and
 ``fitting`` re-export them.
+
+A record that only holds values is a ``NamedTuple``, here and across the
+package.  A record that checks or normalises its inputs in
+``__post_init__`` (``FitConfig``, ``FailureSeries``, ``ReleaseWindow``) is
+a frozen dataclass instead; a ``FailureSeries`` must also not be a tuple,
+whose ``len()`` would count its fields, not its points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+from .reporting import GOF_METRICS
 
 
 # The members' order is the canonical presentation order (concave pair,
@@ -32,17 +40,10 @@ class ModelId(str, Enum):
 
 MODEL_ORDER: tuple[ModelId, ...] = tuple(ModelId)
 
-
-@dataclass(frozen=True)
-class GofScores:
-    r2: float
-    aic: float
-    bic: float
-    rse: float
+GofScores = NamedTuple("GofScores", [(metric, float) for metric in GOF_METRICS])
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     model: ModelId
     params: tuple[float, ...]
     rss: float

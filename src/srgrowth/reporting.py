@@ -145,7 +145,7 @@ def gof_record(label: str, result: FitResult) -> dict:
         "model": result.model.value,
         "params": list(result.params),
         "rss": result.rss,
-        **{metric: getattr(result.gof, metric) for metric in GOF_METRICS},
+        **result.gof._asdict(),
         "converged": result.converged,
         "iterations_used": result.iterations_used,
     }
@@ -218,7 +218,7 @@ def read_gof_csv(path: Path) -> list[tuple[str, FitResult]]:
             rss=float(row["rss"]),
             converged=row["converged"] == "true",
             iterations_used=0,
-            gof=GofScores(**{metric: float(row[metric]) for metric in GOF_METRICS}),
+            gof=GofScores._make(float(row[metric]) for metric in GOF_METRICS),
         )
         out.append((row["series"], result))
     return out

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InsufficientDataError, SegmentCoverageError
 from .records import MODEL_ORDER, FitResult, ModelId
@@ -35,8 +34,7 @@ if TYPE_CHECKING:
 _H_SUBNORMAL = -math.log(sys.float_info.min)
 
 
-@dataclass(frozen=True)
-class TrendResult:
+class TrendResult(NamedTuple):
     """Laplace factor of a failure series."""
 
     u: float
@@ -45,14 +43,12 @@ class TrendResult:
     growth_significant: bool
 
 
-@dataclass(frozen=True)
-class EffectSize:
+class EffectSize(NamedTuple):
     value: float
     label: str
 
 
-@dataclass(frozen=True, eq=False)
-class GroupComparison:
+class GroupComparison(NamedTuple):
     group_labels: tuple[str, ...]
     group_values: tuple[tuple[float, ...], ...]
     H: float
@@ -62,8 +58,7 @@ class GroupComparison:
     dunn: tuple[tuple[float, ...], ...]
 
 
-@dataclass(frozen=True)
-class RankingTable:
+class RankingTable(NamedTuple):
     """Per-segment ranks of each model (1 = best mean metric).
 
     ``ranks[segment][model]`` is an integer rank; every row is a
@@ -73,7 +68,6 @@ class RankingTable:
 
     segments: tuple[str, ...]
     models: tuple[ModelId, ...]
-    metric: str
     ranks: dict[str, dict[ModelId, int]]
     ira_percent: float | None
 
@@ -306,8 +300,7 @@ def pool_scores(results: Iterable[FitResult]) -> dict[ModelId, dict[str, list[fl
     scores: dict[ModelId, dict[str, list[float]]] = {}
     for result in results:
         pooled = scores.setdefault(result.model, {name: [] for name in GOF_METRICS})
-        for name in GOF_METRICS:
-            value = getattr(result.gof, name)
+        for name, value in zip(GOF_METRICS, result.gof):
             if math.isfinite(value):
                 pooled[name].append(value)
     return scores
@@ -353,11 +346,9 @@ def rank_models(
         ordered = sorted(models, key=lambda m: (sign * means[segment][m], m.value))
         ranks[segment] = {model: i + 1 for i, model in enumerate(ordered)}
 
-    table = RankingTable(
-        segments=segments, models=models, metric=metric, ranks=ranks, ira_percent=None
-    )
+    table = RankingTable(segments=segments, models=models, ranks=ranks, ira_percent=None)
     if len(segments) >= 2:
-        table = replace(table, ira_percent=inter_rater_agreement(table))
+        table = table._replace(ira_percent=inter_rater_agreement(table))
     return table
 
 

@@ -728,6 +728,13 @@ def test_statistics_verbs_leave_numpy_unloaded(tmp_path, two_projects, verb):
     assert (tmp_path / verb / "report.json").exists()
 
 
+def test_package_min_faults_default_leaves_the_pipeline_unloaded():
+    """The --min-faults default lives in reporting, so reading it from the
+    package loads neither the issue pipeline nor datetime."""
+    code = "import srgrowth; assert srgrowth.DEFAULT_MIN_FAULTS == 20"
+    _run_leaving_unloaded(code, "srgrowth.pipeline", "datetime")
+
+
 def test_package_record_exports_leave_numpy_unloaded():
     """The model ids and fit records live in the numpy-free records module."""
     names = "ModelId, MODEL_ORDER, FitResult, GofScores"
@@ -1037,12 +1044,28 @@ def test_malformed_fit_metadata_is_refused(tmp_path, capsys, good_fit, verb, met
 
 
 @pytest.mark.parametrize("verb", ["compare", "rank"])
+def test_a_fit_read_twice_is_refused(tmp_path, capsys, good_fit, verb):
+    """One directory given twice would count each of its fits twice."""
+    argv = [verb, "--fits", str(good_fit), str(good_fit)]
+    message = f"the GO fit of series 'alpha' is in both {good_fit} and {good_fit}"
+    _refused_before_any_output(argv, tmp_path / "out", capsys, message)
+
+
+def test_rank_reads_one_directory_under_two_labels(tmp_path, good_fit):
+    """Under two labels the same fits are two segments, each counted once."""
+    out = tmp_path / "rank"
+    assert main(["rank", "--fits", f"a={good_fit}", f"b={good_fit}", "--out", str(out)]) == 0
+    assert read_json(out / "run_metadata.json")["ira_percent"] == 100.0
+
+
+@pytest.mark.parametrize("verb", ["compare", "rank"])
 def test_compare_and_rank_leave_the_pipeline_unloaded(tmp_path, good_fit, verb):
     """compare and rank read fit directories, never issues, so they run
-    without the issue pipeline and without datetime."""
+    without the issue pipeline and without datetime; their records are
+    named tuples, so they run without dataclasses too."""
     argv = [verb, "--fits", str(good_fit), "--format", "csv,json", "--out", str(tmp_path / verb)]
     code = f"from srgrowth.cli import main; assert main({argv!r}) == 0"
-    _run_leaving_unloaded(code, "srgrowth.pipeline", "datetime")
+    _run_leaving_unloaded(code, "srgrowth.pipeline", "datetime", "dataclasses")
     assert (tmp_path / verb / "report.json").exists()
 
 

@@ -554,9 +554,7 @@ def make_table(grid):
         seg: {ModelId(name): grid[name][i] for name in grid}
         for i, seg in enumerate(segments)
     }
-    return RankingTable(
-        segments=segments, models=models, metric="r2", ranks=ranks, ira_percent=None
-    )
+    return RankingTable(segments=segments, models=models, ranks=ranks, ira_percent=None)
 
 
 # Rank grids over small/medium/large project-size segments; each model row
@@ -608,7 +606,7 @@ def test_inter_rater_agreement_extremes():
 
 def test_inter_rater_agreement_needs_two_segments():
     table = RankingTable(
-        segments=("only",), models=(ModelId.GO,), metric="r2",
+        segments=("only",), models=(ModelId.GO,),
         ranks={"only": {ModelId.GO: 1}}, ira_percent=None,
     )
     with pytest.raises(InsufficientDataError):
