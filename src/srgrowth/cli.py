@@ -455,10 +455,13 @@ def _load_fits(dirs) -> dict[str, list]:
     results keep the order in which they are first read.  Metadata that is
     not an object, or whose ``series`` entries are not objects with a string
     ``segment``, is refused, and so is a fit of one model to one series in
-    one segment read twice, which would count twice.
+    one segment read twice, which would count twice, and so are series of
+    two directories that fall back to one segment other than ``all`` (which
+    pools by design): two directories of one name would pool unseen.
     """
     groups: dict[str, list] = {}
     read_from: dict[tuple, Path] = {}
+    fell_back: dict[str, Path] = {}
     for path, label, fallback in dirs:
         gof_path = path / "gof.csv"
         if not gof_path.exists():
@@ -471,7 +474,14 @@ def _load_fits(dirs) -> dict[str, list]:
             raise ValueError(f"{meta_path}: not the run metadata of a fit")
         for series, result in read_gof_csv(gof_path):
             segment = recorded.get(series, {}).get("segment")
-            segment = label or (segment if segment != "all" else None) or fallback
+            segment = label or (segment if segment != "all" else None)
+            if not segment:
+                segment, first = fallback, fell_back.setdefault(fallback, path)
+                if fallback != "all" and first != path:
+                    raise ValueError(
+                        f"{first} and {path} would both be segment {fallback!r}; "
+                        "label them as SEGMENT=DIR"
+                    )
             key = (segment, series, result.model)
             if key in read_from:
                 first = read_from[key]

@@ -327,12 +327,14 @@ def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
     Accepted steps never increase the RSS; a start whose RSS is not finite
     raises ``NumericError``.
 
-    Stops, counting as convergence, when every parameter is held (a
-    bound-constrained stationary point), when the relative RSS drop falls
-    below ``REFINE_RSS_REL_TOL`` or when the step norm falls below
-    ``REFINE_STEP_TOL``; stops with ``converged=False`` after
-    ``REFINE_MAX_ITERATIONS`` iterations, on damping exhaustion or on a
-    non-finite Jacobian.
+    ``converged`` is True when the loop stops because every parameter is
+    held (a bound-constrained stationary point), because a step's norm
+    falls below ``REFINE_STEP_TOL`` (1e-12), or because the relative RSS
+    drop of a step that needed no extra damping falls below
+    ``REFINE_RSS_REL_TOL`` (1e-10).  It is False when the loop stops after
+    ``REFINE_MAX_ITERATIONS`` (1000) iterations, when the damping passes
+    ``_LAMBDA_MAX`` (1e12) before a step is accepted, or on a non-finite
+    Jacobian.
     """
     mid = ModelId(model)
     _require_enough_points(mid, series)
@@ -353,9 +355,7 @@ def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
     lam = _LAMBDA_INIT
     nu = 2.0
     converged = False
-    iterations = 0
-    for _ in range(REFINE_MAX_ITERATIONS):
-        iterations += 1
+    for iterations in range(1, REFINE_MAX_ITERATIONS + 1):
         jac = kernel(p, t, jac=True)
         if not np.all(np.isfinite(jac)):
             break  # hopeless curvature information: report non-convergence
@@ -373,31 +373,27 @@ def refine(model: ModelId | str, series: FailureSeries, init) -> FitResult:
         jtj = jac.T @ jac
         damp = np.maximum(np.diag(jtj), 1e-12)
 
-        accepted = False
+        # A singular system, a non-finite step and a step that raises the RSS
+        # are all rejected alike: damp harder and solve again.
         rejections = 0
         while lam <= _LAMBDA_MAX:
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(damp), jtr)
             except np.linalg.LinAlgError:
                 step = None
-            if step is None or not np.all(np.isfinite(step)):
-                lam *= nu
-                nu *= 2.0
-                rejections += 1
-                continue
-            full = np.zeros_like(p)
-            full[free] = step
-            p_new = np.clip(p + full, floor, hi)
-            residuals_new = y - kernel(p_new, t)
-            rss_new = float(residuals_new @ residuals_new)
-            # NaN and inf fail this test, since rss is finite
-            if rss_new <= rss:
-                accepted = True
-                break
+            if step is not None and np.all(np.isfinite(step)):
+                full = np.zeros_like(p)
+                full[free] = step
+                p_new = np.clip(p + full, floor, hi)
+                residuals_new = y - kernel(p_new, t)
+                rss_new = float(residuals_new @ residuals_new)
+                # NaN and inf fail this test, since rss is finite
+                if rss_new <= rss:
+                    break
             lam *= nu
             nu *= 2.0
             rejections += 1
-        if not accepted:
+        else:
             break  # damping exhausted; report non-convergence
 
         # Nielsen gain ratio: shrink the damping according to how well the

@@ -19,6 +19,7 @@ Python version, whose built-in ``sum`` rounds differently from 3.12 on).
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
@@ -328,22 +329,18 @@ def rank_models(
     if not models:
         raise InsufficientDataError("no fit results to rank")
 
-    means: dict[str, dict[ModelId, float]] = {}
+    sign = -1.0 if GOF_METRICS[metric] else 1.0
+    ranks: dict[str, dict[ModelId, int]] = {}
     for segment in segments:
-        seg_means: dict[ModelId, float] = {}
+        means: dict[ModelId, float] = {}
         for model in models:
             values = pooled[segment].get(model, {}).get(metric)
             if not values:
                 raise SegmentCoverageError(
                     f"model {model} has no finite {metric} values in segment {segment!r}"
                 )
-            seg_means[model] = mean(values)
-        means[segment] = seg_means
-
-    sign = -1.0 if GOF_METRICS[metric] else 1.0
-    ranks: dict[str, dict[ModelId, int]] = {}
-    for segment in segments:
-        ordered = sorted(models, key=lambda m: (sign * means[segment][m], m.value))
+            means[model] = mean(values)
+        ordered = sorted(models, key=lambda m: (sign * means[m], m.value))
         ranks[segment] = {model: i + 1 for i, model in enumerate(ordered)}
 
     table = RankingTable(segments=segments, models=models, ranks=ranks, ira_percent=None)
@@ -360,16 +357,10 @@ def inter_rater_agreement(table: RankingTable) -> float:
     the same rank.  The result is agreeing cells over all such cells,
     / (models * segment pairs), as a percentage.
     """
-    r = len(table.segments)
-    if r < 2:
+    pairs = list(itertools.combinations(table.segments, 2))
+    if not pairs:
         raise InsufficientDataError("agreement needs at least two segments")
-    n_pairs = r * (r - 1) // 2
-    agreements = 0
-    for model in table.models:
-        for i in range(r):
-            for j in range(i + 1, r):
-                a = table.ranks[table.segments[i]][model]
-                b = table.ranks[table.segments[j]][model]
-                if a == b:
-                    agreements += 1
-    return 100.0 * agreements / (len(table.models) * n_pairs)
+    agreements = sum(
+        table.ranks[a][model] == table.ranks[b][model] for model in table.models for a, b in pairs
+    )
+    return 100.0 * agreements / (len(table.models) * len(pairs))

@@ -600,6 +600,27 @@ def test_rank_puts_each_release_grouped_fit_dir_in_its_own_segment(tmp_path, two
     assert read_json(out / "run_metadata.json")["segments"] == ["fa", "fb"]
 
 
+@pytest.mark.parametrize("metadata", [False, True], ids=["no-metadata", "ungrouped"])
+def test_rank_refuses_two_unlabelled_fit_dirs_of_one_name(tmp_path, capsys, metadata):
+    """x/fit and y/fit would both be segment 'fit', pooling both series in
+    one segment; labelled they are two, and compare pools them anyway.  An
+    ungrouped fit records segment 'all', which falls back as no metadata
+    does."""
+    dirs = [tmp_path / "x" / "fit", tmp_path / "y" / "fit"]
+    for fit, series in zip(dirs, ("ps", "qs")):
+        fit.mkdir(parents=True)
+        rows = [f"{series},{model},1,1,,1,{r2},1,1,1,true" for model, r2 in (("GO", 0.9), ("MO", 0.8))]
+        (fit / "gof.csv").write_text("\n".join([",".join(GOF_COLUMNS), *rows]) + "\n")
+        if metadata:
+            (fit / "run_metadata.json").write_text(json.dumps({"series": {series: {"segment": "all"}}}))
+    message = f"{dirs[0]} and {dirs[1]} would both be segment 'fit'; label them as SEGMENT=DIR"
+    _refused_before_any_output(["rank", "--fits", *map(str, dirs)], tmp_path / "out", capsys, message)
+    out = tmp_path / "rank"
+    assert main(["rank", "--fits", f"a={dirs[0]}", f"b={dirs[1]}", "--out", str(out)]) == 0
+    assert read_json(out / "run_metadata.json")["segments"] == ["a", "b"]
+    assert main(["compare", "--fits", *map(str, dirs), "--out", str(tmp_path / "cmp")]) == 0
+
+
 def fits_of_one_series(tmp_path, du_r2):
     """Three fit directories of one series each, whose GO rows hold r2 0.1,
     0.2 and 0.3: added left to right they make 0.6000000000000001, added

@@ -451,6 +451,92 @@ def test_refine_stops_at_once_when_every_parameter_is_held(monkeypatch):
     assert calls == ["mean", "jac", "mean"]
 
 
+def test_refine_stops_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(fitting, "REFINE_MAX_ITERATIONS", 3)
+    series = synthetic_series(ModelId.WE, (220.0, 0.015, 1.4))
+    start = (10.0, 1.0, 0.1)  # uncapped, 61 iterations reach the optimum
+    result = refine(ModelId.WE, series, start)
+    assert not result.converged
+    assert result.iterations_used == 3
+    assert result.rss < rss_of(ModelId.WE, start, series)
+
+
+# GO's a starts above its cap of 100·n, so the start is clipped
+CLIPPED_GO_START = (1e5, 0.04)
+
+
+def assert_stopped_at_the_clipped_start(result, series):
+    """``result`` took no step: its parameters and RSS are the clipped start's."""
+    lo, hi = search_bounds(ModelId.GO, series.n)
+    p = np.clip(CLIPPED_GO_START, np.nextafter(lo, np.inf), hi)
+    r = np.array(series.cumulative) - _KERNELS[ModelId.GO](p, np.array(series.times))
+    assert not result.converged
+    assert result.iterations_used == 1
+    assert result.params == tuple(p) == (100.0 * series.n, 0.04)
+    assert result.rss == float(r @ r)
+
+
+def test_refine_stops_when_damping_is_exhausted(monkeypatch):
+    """Damping past ``_LAMBDA_MAX`` before any trial step: the first
+    iteration rejects and the start is returned."""
+    monkeypatch.setattr(fitting, "_LAMBDA_MAX", fitting._LAMBDA_INIT / 2.0)
+    series = noisy_series(ModelId.GO, (300.0, 0.04), seed=4)
+    assert_stopped_at_the_clipped_start(refine(ModelId.GO, series, CLIPPED_GO_START), series)
+
+
+@pytest.mark.parametrize("failure", ["raises", "nan"])
+def test_refine_rejects_every_failed_solve_until_damping_is_exhausted(monkeypatch, failure):
+    """A singular system and a non-finite step are rejected as a step that
+    raises the RSS is, so damping runs out and the start is returned."""
+    solves = []
+
+    def failing(a, b):
+        solves.append(a)
+        if failure == "raises":
+            raise np.linalg.LinAlgError("singular matrix")
+        return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    series = noisy_series(ModelId.GO, (300.0, 0.04), seed=4)
+    assert_stopped_at_the_clipped_start(refine(ModelId.GO, series, CLIPPED_GO_START), series)
+    assert len(solves) > 1
+
+
+def test_refine_stops_on_a_non_finite_jacobian(monkeypatch):
+    series = noisy_series(ModelId.GO, (300.0, 0.04), seed=4)
+    kernel = fitting._KERNELS[ModelId.GO]
+    calls = []
+
+    def nan_jacobian(p, times, jac=False):
+        calls.append("jac" if jac else "mean")
+        out = kernel(p, times, jac=jac)
+        return np.full_like(out, np.nan) if jac else out
+
+    monkeypatch.setitem(fitting._KERNELS, ModelId.GO, nan_jacobian)
+    result = refine(ModelId.GO, series, (250.0, 0.05))
+    assert not result.converged and result.iterations_used == 1
+    assert result.params == (250.0, 0.05)
+    # the start, one Jacobian, and the final scores
+    assert calls == ["mean", "jac", "mean"]
+
+
+def test_refine_converges_on_the_step_rule_alone(monkeypatch):
+    """With the RSS rule off, a start at a noise-free optimum takes a step
+    shorter than ``REFINE_STEP_TOL``."""
+    monkeypatch.setattr(fitting, "REFINE_RSS_REL_TOL", 0.0)
+    truth = (300.0, 0.05)
+    result = refine(ModelId.GO, synthetic_series(ModelId.GO, truth), truth)
+    assert result.converged and result.iterations_used == 1
+    assert result.params == truth
+
+
+def test_refine_converges_on_the_rss_rule_alone(monkeypatch):
+    monkeypatch.setattr(fitting, "REFINE_STEP_TOL", 0.0)
+    series = noisy_series(ModelId.GO, (300.0, 0.04), seed=4)
+    result = refine(ModelId.GO, series, (250.0, 0.05))
+    assert result.converged and result.iterations_used <= 50
+
+
 # (model, generating parameters, start): each start puts one or two
 # parameters on a bound.  HD fits GO data, so its best c lies below the
 # floor it starts on; MO's generating scale lies above RATE_UPPER.  Starts
