@@ -145,8 +145,28 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if name == "fit":
             cmd.add_argument("--models", help="comma-separated model ids (default: all nine)")
-            cmd.add_argument("--seed", type=int, default=0, help="random seed for the initial search")
-            cmd.add_argument("--budget", type=int, default=100_000, help="initial search candidates per model")
+            # named after FitConfig's fields and absent unless given, so that
+            # FitConfig supplies the defaults
+            cmd.add_argument(
+                "--seed",
+                type=int,
+                default=argparse.SUPPRESS,
+                dest="rng_seed",
+                metavar="SEED",
+                help="random seed for the initial search (default: FitConfig's)",
+            )
+            cmd.add_argument(
+                "--budget",
+                type=int,
+                default=argparse.SUPPRESS,
+                dest="search_budget",
+                metavar="BUDGET",
+                help=(
+                    "initial search draws per model (default: FitConfig's); a series of n points "
+                    "with 256*n <= budget gets 256 draws of the shape, each with its least-squares "
+                    "scale, a longer one budget draws of every parameter, screened"
+                ),
+            )
         cmd.set_defaults(func=func)
 
     compare = sub.add_parser("compare", parents=[output], help="Kruskal-Wallis + Dunn across models")
@@ -400,11 +420,14 @@ def _parse_models(raw: str | None) -> list[ModelId]:
 
 
 def cmd_fit(args) -> int:
+    from dataclasses import fields
+
     from .fitting import FitConfig, fit_all
     from .models import descriptor, mean_value
 
     models = _parse_models(args.models)
-    cfg = FitConfig(search_budget=args.budget, rng_seed=args.seed)
+    given = {f.name: getattr(args, f.name) for f in fields(FitConfig) if hasattr(args, f.name)}
+    cfg = FitConfig(**given)
     need = min(descriptor(m).k for m in models) + 1
     series, trend_rows, skipped, meta = _series_stage(args, need, "fitting")
 
@@ -430,7 +453,7 @@ def cmd_fit(args) -> int:
         meta["series"][s.label]["curve"] = f"curves/{slugs[s.label]}.csv"
 
     write_csv(args.out / "gof.csv", GOF_COLUMNS, map(gof_row, gof_records))
-    meta.update(seed=args.seed, budget=args.budget, models=[m.value for m in models])
+    meta.update(seed=cfg.rng_seed, budget=cfg.search_budget, models=[m.value for m in models])
     _write_meta(args, "run_metadata.json", meta, gof=gof_records, trend=trend_rows, skipped=skipped)
     print(
         f"fitted {len(models)} models to {len(series)} series "

@@ -1,6 +1,6 @@
 """Model fitting: random initial search plus damped Gauss-Newton refinement.
 
-The estimation pipeline mirrors common reliability-growth practice: a large
+The estimation pipeline mirrors common reliability-growth practice: a
 seeded random search over log-uniform parameter draws picks the best starting
 point, then a Levenberg-Marquardt loop with the analytic Jacobian polishes it
 to a least-squares optimum within the parameter bounds.  The loop is
@@ -9,7 +9,18 @@ points out of the box is held fixed for that iteration, the damped step is
 solved over the others and projected back into the box.  Non-convergence
 is recorded on the result, never raised.
 
-The search screens each chunk of draws in two stages.  Once an earlier
+Every model is linear in its first parameter, the scale: m(t) = a·g(t; θ),
+and the kernel called with a = 1 returns the shape g.  On a series of n
+points with 256·n <= ``search_budget`` the search is profiled: it draws 256
+shapes θ, gives each the least-squares scale <g, y>/<g, g> clipped to the
+scale's bounds, and scores all 256 in full (variable projection, Golub &
+Pereyra 1973).  ``fit_one`` refines a profiled start and, when that fit ends
+unconverged or with a parameter on a bound, also the screened search's
+start, and keeps the lower RSS.  Longer series, and short ones where no
+profiled draw has a finite RSS, get the screened search.
+
+The screened search draws all parameters, ``search_budget`` draws in all,
+and screens each chunk of them in two stages.  Once an earlier
 chunk has set a finite best RSS, it drops every draw whose squared residual
 at the last observation exceeds that RSS.  It evaluates the rest at no more
 than 8 fixed observations, the first and the last among them, and scores
@@ -64,6 +75,7 @@ REFINE_MAX_ITERATIONS = 1000
 REFINE_RSS_REL_TOL = 1e-10
 REFINE_STEP_TOL = 1e-12
 
+_PROFILE_DRAWS = 256
 _SEARCH_FIRST_CHUNK = 512
 _SEARCH_CHUNK = 4096
 _SEARCH_ELEMENTS = 1 << 20  # cap on candidates x points per chunk
@@ -172,7 +184,10 @@ class _Screen(NamedTuple):
 def _screen_points(t, y) -> _Screen:
     # The first and the last index are always screen points, and with
     # n <= 8 points every point is one, so no point lies between them.
-    sel = np.unique(np.round(np.linspace(0, t.size - 1, _SCREEN_POINTS)).astype(np.intp))
+    # Index i is i·last/gaps rounded: gaps = 7 is odd, so no quotient ends
+    # in a half and rounding half up picks what np.round would.
+    last, gaps = t.size - 1, _SCREEN_POINTS - 1
+    sel = np.array(sorted({(2 * i * last + gaps) // (2 * gaps) for i in range(_SCREEN_POINTS)}))
     between = [y[i + 1 : j] for i, j in zip(sel[:-1], sel[1:])]
     return _Screen(
         t=t[sel],
@@ -283,11 +298,36 @@ def _draws(mid: ModelId, series: FailureSeries, cfg: FitConfig):
         yield columns.T
 
 
-def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) -> np.ndarray:
-    """Best of ``cfg.search_budget`` log-uniform parameter draws by RSS;
-    ``NumericError`` when no draw has a finite RSS."""
-    mid = ModelId(model)
-    _require_enough_points(mid, series)
+def _profiles(series: FailureSeries, cfg: FitConfig) -> bool:
+    """Whether the budget pays for scoring every profiled draw in full."""
+    return _PROFILE_DRAWS * series.n <= cfg.search_budget
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _profiled_search(mid: ModelId, series: FailureSeries, cfg: FitConfig) -> np.ndarray | None:
+    """The first of ``_PROFILE_DRAWS`` log-uniform shape draws, each with its
+    least-squares scale clipped to the scale's bounds, of least RSS; None
+    when no draw has a finite RSS.  An overflow or a shape of all zeros
+    makes the scale, and so the RSS, non-finite."""
+    lo, hi = search_bounds(mid, series.n)
+    log_lo = np.log(lo[1:])
+    log_span = np.log(hi[1:]) - log_lo
+    u = _model_rng(cfg, mid).random((_PROFILE_DRAWS, lo.size - 1))
+    candidates = np.ones((_PROFILE_DRAWS, lo.size))
+    candidates[:, 1:] = np.exp(log_lo + u * log_span)
+    t = np.array(series.times)
+    y = np.array(series.cumulative)
+    kernel = _KERNELS[mid]
+    shapes = kernel(candidates, t)
+    candidates[:, 0] = np.clip((shapes @ y) / np.einsum("ij,ij->i", shapes, shapes), lo[0], hi[0])
+    rss = _rss(kernel, candidates, t, y)
+    idx = int(np.argmin(np.where(np.isfinite(rss), rss, math.inf)))
+    return candidates[idx] if math.isfinite(rss[idx]) else None
+
+
+def _screened_search(mid: ModelId, series: FailureSeries, cfg: FitConfig) -> np.ndarray | None:
+    """The first of ``cfg.search_budget`` log-uniform draws of least RSS,
+    screened chunk by chunk; None when no draw has a finite RSS."""
     t = np.array(series.times)
     y = np.array(series.cumulative)
     kernel = _KERNELS[mid]
@@ -303,6 +343,18 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
         if rss[idx] < best_rss:
             best_rss = float(rss[idx])
             best = candidates[idx].copy()
+    return best
+
+
+def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) -> np.ndarray:
+    """The profiled search's start where the budget pays for it and some
+    draw has a finite RSS, else the screened search's; ``NumericError`` when
+    no draw of either has a finite RSS."""
+    mid = ModelId(model)
+    _require_enough_points(mid, series)
+    best = _profiled_search(mid, series, cfg) if _profiles(series, cfg) else None
+    if best is None:
+        best = _screened_search(mid, series, cfg)
     if best is None:
         raise NumericError(f"no {mid} draw has a finite RSS")
     return best
@@ -451,10 +503,33 @@ def _failure_result(model: ModelId) -> FitResult:
     )
 
 
+def _on_bound(fit: FitResult, n: int) -> bool:
+    """Whether a parameter of ``fit`` sits on its floor (the first float
+    above its lower bound) or on its upper bound."""
+    lo, hi = search_bounds(fit.model, n)
+    p = np.array(fit.params)
+    return bool(np.any(p <= np.nextafter(lo, np.inf)) or np.any(p >= hi))
+
+
 def fit_one(model: ModelId | str, series: FailureSeries, cfg: FitConfig) -> FitResult:
-    """Initial search followed by refinement, as one call."""
-    start = initial_search(model, series, cfg)
-    return refine(model, series, start)
+    """Initial search followed by refinement, as one call.
+
+    A profiled start can lie in the basin of a limit on a bound (YE
+    reaches GO in two such limits, on different bounds), so when its fit
+    ends unconverged or on a bound, the screened search's start is refined
+    too and the lower RSS kept, the profiled fit's on a tie.
+    """
+    mid = ModelId(model)
+    fit = refine(mid, series, initial_search(mid, series, cfg))
+    if _profiles(series, cfg) and (not fit.converged or _on_bound(fit, series.n)):
+        # Where no profiled draw had a finite RSS, this is the start already
+        # refined, and refining it again gives the same fit.
+        start = _screened_search(mid, series, cfg)
+        if start is not None:
+            other = refine(mid, series, start)
+            if other.rss < fit.rss:
+                return other
+    return fit
 
 
 def fit_all(

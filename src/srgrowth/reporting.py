@@ -75,7 +75,12 @@ FORMULA_VARIANTS = {
     "inter_rater_agreement": (
         "agreeing (model, segment-pair) rank cells / (models * segment pairs) * 100"
     ),
-    "initial_search": "best RSS of log-uniform draws within bounds, seeded",
+    "initial_search": (
+        "seeded log-uniform draws within bounds; with 256*n <= budget, 256 shape draws each with "
+        "its least-squares scale clipped to bounds, best RSS, and a fit from it that ends "
+        "unconverged or on a bound is also refined from the screened start, lower RSS kept; "
+        "otherwise best RSS of budget draws of all parameters"
+    ),
     "refine": (
         "damped Gauss-Newton with analytic Jacobian; parameters on a bound whose "
         "descent direction leaves the box are held, steps projected to bounds"

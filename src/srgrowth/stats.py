@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InsufficientDataError, SegmentCoverageError
@@ -30,9 +29,6 @@ from .reporting import EFFECT_LABELS, EFFECT_THRESHOLDS, GOF_METRICS, LAPLACE_CR
 
 if TYPE_CHECKING:
     from .series import FailureSeries
-
-# past this h, e^-h is no longer a normal float
-_H_SUBNORMAL = -math.log(sys.float_info.min)
 
 
 class TrendResult(NamedTuple):
@@ -106,41 +102,28 @@ def chi2_sf(x: float, df: int) -> float:
     With h = x/2 the tail is a finite sum (Abramowitz & Stegun 26.4.4-5):
     e^-h * sum_{i<df/2} h^i/i! for even df, and for odd df
     erfc(sqrt h) + e^-h * sum_{i=1}^{(df-1)/2} h^(i-1/2)/Gamma(i+1/2).
-    Each term is the previous one times h/(i+...), starting from e^-h, so
-    nothing overflows.  Past x = 1416.79, where e^-h is no longer a normal
-    float, each term is formed from its logarithm instead, -h + i ln h -
-    ln i! (even df) or -h + (i-1/2) ln h - ln Gamma(i+1/2) (odd df), and the
-    terms are summed relative to the largest, so the tail keeps its
-    relative accuracy for as long as it is a normal float.
+    Each term is formed from its logarithm, -h + i ln h - ln i! (even df)
+    or -h + (i-1/2) ln h - ln Gamma(i+1/2) (odd df), and the terms are
+    summed relative to the largest, so nothing overflows and the tail keeps
+    its relative accuracy also past x = 1416.79, where e^-h is no longer a
+    normal float, for as long as the tail itself is one.
     """
     if not (df >= 1 and float(df).is_integer()):
         raise ValueError(f"chi2_sf needs an integer df >= 1, got {df}")
-    if x <= 0.0:
+    h, df = x / 2.0, int(df)
+    if h <= 0.0:  # also where x/2 underflows to 0, so that ln h is defined
         return 1.0
     if not math.isfinite(x):
         raise ValueError(f"chi2_sf needs a finite x, got {x}")
-    h, df = x / 2.0, int(df)
-    if h > _H_SUBNORMAL:
-        log_h = math.log(h)
-        if df % 2 == 0:
-            total = 0.0
-            logs = [i * log_h - math.lgamma(i + 1.0) for i in range(df // 2)]
-        else:
-            total = math.erfc(math.sqrt(h))
-            logs = [(i - 0.5) * log_h - math.lgamma(i + 0.5) for i in range(1, df // 2 + 1)]
-        top = max(logs, default=0.0)
-        return total + math.exp(top - h) * math.fsum(math.exp(v - top) for v in logs)
+    log_h = math.log(h)
     if df % 2 == 0:
-        term = total = math.exp(-h)
-        for i in range(1, df // 2):
-            term *= h / i
-            total += term
+        total = 0.0
+        logs = [i * log_h - math.lgamma(i + 1.0) for i in range(df // 2)]
     else:
         total = math.erfc(math.sqrt(h))
-        term = 2.0 * math.exp(-h) * math.sqrt(h / math.pi)
-        for i in range(1, df // 2 + 1):
-            total += term
-            term *= h / (i + 0.5)
+        logs = [(i - 0.5) * log_h - math.lgamma(i + 0.5) for i in range(1, df // 2 + 1)]
+    top = max(logs, default=0.0)
+    total += math.exp(top - h) * math.fsum(math.exp(v - top) for v in logs)
     return min(total, 1.0)
 
 

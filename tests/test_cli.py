@@ -699,6 +699,30 @@ def test_cli_import_loads_only_what_every_verb_needs():
     assert loaded == ["srgrowth", "srgrowth.cli", "srgrowth.errors", "srgrowth.reporting"]
 
 
+def test_fit_leaves_numpy_ma_unloaded(tmp_path, two_projects):
+    """At this budget alpha's 80 points take the screened search and beta's
+    60 the profiled one; neither loads numpy.ma (np.unique would)."""
+    a, b = two_projects
+    out = tmp_path / "fit"
+    code = (
+        "from srgrowth.cli import main\n"
+        f"assert main(['fit', '--issues', {str(a)!r}, {str(b)!r}, '--budget', '15360', "
+        f"'--out', {str(out)!r}]) == 0"
+    )
+    _run_leaving_unloaded(code, "numpy.ma")
+    assert len(list((out / "curves").glob("*.csv"))) == 2
+
+
+def test_fit_takes_seed_and_budget_defaults_from_fitconfig(tmp_path):
+    from srgrowth.fitting import FitConfig
+
+    issues = write_issues(tmp_path / "small.json", 30)
+    out = tmp_path / "fit"
+    assert main(["fit", "--issues", str(issues), "--models", "GO,MO", "--out", str(out)]) == 0
+    meta = read_json(out / "run_metadata.json")
+    assert (meta["seed"], meta["budget"]) == (FitConfig().rng_seed, FitConfig().search_budget)
+
+
 @pytest.mark.parametrize("verb", ["trend", "fit"])
 def test_grouping_choices_and_min_faults_default_are_listed_in_help(capsys, verb):
     """The parser takes the attribute cuts and the --min-faults default from

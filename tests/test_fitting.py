@@ -217,19 +217,107 @@ def overflow_case():
 @example(case=tied_case())
 @example(case=concave_case())
 def test_initial_search_equals_brute_force(model, case):
-    """Screening draws on the last point, then on a bound from a few points,
-    never changes the chosen draw, nor whether there is one."""
+    """In the screened search, screening draws on the last point, then on a
+    bound from a few points, never changes the chosen draw, nor whether
+    there is one."""
     series, cfg = case
     if series.n < descriptor(model).k + 1:
         with pytest.raises(InsufficientDataError):
             initial_search(model, series, cfg)
         return
     expected = brute_search(model, series, cfg)
+    found = fitting._screened_search(model, series, cfg)
     if expected is None:  # no draw has a finite RSS
-        with pytest.raises(NumericError):
-            initial_search(model, series, cfg)
+        assert found is None
     else:
-        assert np.array_equal(initial_search(model, series, cfg), expected)
+        assert np.array_equal(found, expected)
+
+
+def brute_profiled_draws(model, series, cfg):
+    """Reference profiled search: the same 256 shape draws, each given its
+    clipped least-squares scale and scored in full one at a time.  Returns
+    the draws with their scales and their RSS, NaN where not finite."""
+    lo, hi = search_bounds(model, series.n)
+    rng = np.random.default_rng([cfg.rng_seed, MODEL_ORDER.index(ModelId(model))])
+    shapes = np.exp(np.log(lo[1:]) + rng.random((256, lo.size - 1)) * np.log(hi[1:] / lo[1:]))
+    kernel = _KERNELS[ModelId(model)]
+    t, y = np.array(series.times), np.array(series.cumulative)
+    params, rss = [], []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for theta in shapes:
+            g = kernel(np.concatenate([[1.0], theta]), t)
+            p = np.concatenate([[np.clip(np.dot(g, y) / np.dot(g, g), lo[0], hi[0])], theta])
+            r = kernel(p, t) - y
+            params.append(p)
+            rss.append(float(np.dot(r, r)))
+    rss = np.array(rss)
+    return np.array(params), np.where(np.isfinite(rss), rss, np.nan)
+
+
+@pytest.mark.parametrize("model", MODEL_ORDER)
+@settings(max_examples=25, deadline=None)
+@given(case=search_cases())
+@example(case=geometric_case(3))
+@example(case=geometric_case(9))
+@example(case=zigzag_case())
+@example(case=step_case())
+@example(case=overflow_case())
+def test_profiled_search_equals_brute_force(model, case):
+    """The profiled search, at any budget, keeps one of its 256 shape draws
+    with that draw's clipped least-squares scale, and no draw scores lower,
+    nor an earlier one as low, beyond the rounding of a sum."""
+    series, cfg = case
+    if series.n < descriptor(model).k + 1:
+        return
+    params, rss = brute_profiled_draws(model, series, cfg)
+    found = fitting._profiled_search(ModelId(model), series, cfg)
+    if np.isnan(rss).all():
+        assert found is None
+        return
+    chosen = int(np.flatnonzero((params[:, 1:] == found[1:]).all(axis=1))[0])
+    assert_allclose(found[0], params[chosen, 0], rtol=1e-12)
+    found_rss = rss_of(model, found, series)
+    assert found_rss <= np.nanmin(rss) * (1.0 + 1e-12)
+    assert not np.any(rss[:chosen] < found_rss * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("model", MODEL_ORDER)
+def test_search_past_the_profiled_budget_is_the_screened_search(model):
+    """With 256·n draws the search is profiled; one draw fewer and it is the
+    screened search, bit for bit."""
+    series = noisy_series(ModelId.GO, (300.0, 0.04), seed=2, n=20)
+    short = FitConfig(search_budget=256 * series.n - 1, rng_seed=3)
+    assert np.array_equal(initial_search(model, series, short), brute_search(model, series, short))
+    enough = FitConfig(search_budget=256 * series.n, rng_seed=3)
+    profiled = fitting._profiled_search(ModelId(model), series, enough)
+    assert np.array_equal(initial_search(model, series, enough), profiled)
+
+
+def test_on_bound_sees_each_parameter_on_its_floor_or_its_cap():
+    n = 30
+    lo, hi = search_bounds(ModelId.HD, n)
+    floor = np.nextafter(lo, np.inf)
+    inside = (200.0, 0.04, 0.5)
+    fit = fitting._failure_result(ModelId.HD)._replace(params=inside)
+    assert not fitting._on_bound(fit, n)
+    for j in range(3):
+        for edge in (floor[j], hi[j]):
+            params = list(inside)
+            params[j] = float(edge)
+            assert fitting._on_bound(fit._replace(params=tuple(params)), n)
+
+
+def test_profiled_fit_on_a_bound_ends_no_higher_than_the_screened_fit():
+    """YE on GO data ends on a bound from its profiled start, at a higher
+    RSS than from the screened start; fit_one refines both and keeps the
+    lower."""
+    series = noisy_series(ModelId.GO, (300.0, 0.04), seed=1, n=30)
+    cfg = FitConfig(search_budget=256 * series.n, rng_seed=0)
+    profiled = refine(ModelId.YE, series, fitting._profiled_search(ModelId.YE, series, cfg))
+    screened = refine(ModelId.YE, series, fitting._screened_search(ModelId.YE, series, cfg))
+    assert fitting._on_bound(profiled, series.n)
+    fit = fit_one(ModelId.YE, series, cfg)
+    assert fit.rss <= screened.rss < profiled.rss
 
 
 def test_fit_all_writes_a_placeholder_when_no_draw_has_a_finite_rss():
@@ -328,6 +416,13 @@ def test_screen_bound_never_exceeds_the_full_rss(case):
     full = fitting._rss(kernel, candidates, t, y)
     finite = np.isfinite(full)
     assert np.all(bound[finite] <= full[finite] * screen.slack)
+
+
+def test_screen_points_are_eight_evenly_spread_indices_rounded():
+    for n in [*range(1, 400), *range(400, 10_000, 97)]:
+        t = np.arange(1.0, n + 1.0)
+        spread = np.unique(np.round(np.linspace(0, n - 1, fitting._SCREEN_POINTS)).astype(np.intp))
+        assert np.array_equal(fitting._screen_points(t, t).t, t[spread])
 
 
 def test_envelope_bound_scores_few_long_series_draws_in_full(monkeypatch):
@@ -672,3 +767,15 @@ def test_failure_placeholder_shape():
     assert len(res.params) == 3
     assert not res.converged
     assert math.isnan(res.rss)
+
+
+def test_unconverged_profiled_fit_is_refined_from_the_screened_start_too(monkeypatch):
+    """With refine capped at 3 iterations, WE's profiled fit stops inside
+    the box, unconverged, far above the fit from the screened start."""
+    monkeypatch.setattr(fitting, "REFINE_MAX_ITERATIONS", 3)
+    series = noisy_series(ModelId.GO, (300.0, 0.04), seed=4, n=30)
+    cfg = FitConfig(search_budget=256 * series.n, rng_seed=0)
+    profiled = refine(ModelId.WE, series, fitting._profiled_search(ModelId.WE, series, cfg))
+    screened = refine(ModelId.WE, series, fitting._screened_search(ModelId.WE, series, cfg))
+    assert not profiled.converged and not fitting._on_bound(profiled, series.n)
+    assert fit_one(ModelId.WE, series, cfg).rss == screened.rss < profiled.rss
