@@ -10,16 +10,17 @@ solved over the others and projected back into the box.  Non-convergence
 is recorded on the result, never raised.
 
 Every model is linear in its first parameter, the scale: m(t) = a·g(t; θ),
-and the kernel called with a = 1 returns the shape g.  On a series of n
-points with 256·n <= ``search_budget`` the search is profiled: it draws 256
-shapes θ, gives each the least-squares scale <g, y>/<g, g> clipped to the
-scale's bounds, and scores all 256 in full (variable projection, Golub &
-Pereyra 1973).  ``fit_one`` refines a profiled start and, when that fit ends
-unconverged or with a parameter on a bound, also the screened search's
-start, and keeps the lower RSS.  Longer series, and short ones where no
-profiled draw has a finite RSS, get the screened search.
+and the kernel called with a = 1 returns the shape g.  ``fit_one`` alone
+decides which starts are refined.  On a series of n points with
+256·n <= ``search_budget`` it first refines the profiled search's start:
+256 shapes θ, each given the least-squares scale <g, y>/<g, g> clipped to
+the scale's bounds and scored in full (variable projection, Golub &
+Pereyra 1973).  It refines ``initial_search``'s screened start when there
+is no such fit (a longer series, or no profiled draw with a finite RSS)
+or when that fit ends unconverged or with a parameter on a bound, and
+keeps the lower RSS.
 
-The screened search draws all parameters, ``search_budget`` draws in all,
+``initial_search`` draws all parameters, ``search_budget`` draws in all,
 and screens each chunk of them in two stages.  Once an earlier
 chunk has set a finite best RSS, it drops every draw whose squared residual
 at the last observation exceeds that RSS.  It evaluates the rest at no more
@@ -242,15 +243,8 @@ def _screen(kernel, candidates, t, y, screen: _Screen, best_rss) -> tuple[np.nda
             return none
     m = kernel(candidates, screen.t)
     r = m - screen.y
-    partial = np.einsum("ij,ij->i", r, r)
-    # The partial RSS over the screen points alone is a bound as well, and a
-    # cheaper one; the envelope is added only for the draws it keeps.
-    keep = partial <= best_rss * screen.slack
-    candidates = candidates[keep]
-    if candidates.shape[0] == 0:
-        return none
     with np.errstate(over="ignore"):  # an overflow makes the bound infinite
-        bound = partial[keep] + _envelope(candidates, m[keep], screen)
+        bound = np.einsum("ij,ij->i", r, r) + _envelope(candidates, m, screen)
     finite = np.isfinite(bound)
     lead = int(np.argmin(np.where(finite, bound, math.inf)))
     if not (finite[lead] and bound[lead] <= best_rss * screen.slack):
@@ -271,13 +265,18 @@ def _screen(kernel, candidates, t, y, screen: _Screen, best_rss) -> tuple[np.nda
     return candidates[survive], np.where(np.isfinite(rss), rss, math.inf)
 
 
+def _log_uniform(rng: np.random.Generator, lo, hi, count: int) -> np.ndarray:
+    """``count`` draws, one a row, each coordinate log-uniform between ``lo``
+    and ``hi``."""
+    log_lo = np.log(lo)
+    return np.exp(log_lo + rng.random((count, lo.size)) * (np.log(hi) - log_lo))
+
+
 def _draws(mid: ModelId, series: FailureSeries, cfg: FitConfig):
     """The search's log-uniform draws, chunk by chunk, from a fresh stream:
     ``_SEARCH_FIRST_CHUNK`` draws, then twice as many as the chunk before,
     up to ``_SEARCH_CHUNK`` draws and ``_SEARCH_ELEMENTS`` candidate-points."""
     lo, hi = search_bounds(mid, series.n)
-    log_lo = np.log(lo)
-    log_span = np.log(hi) - log_lo
     rng = _model_rng(cfg, mid)
     cap = max(1, min(_SEARCH_CHUNK, _SEARCH_ELEMENTS // series.n))
     chunk = min(_SEARCH_FIRST_CHUNK, cap)
@@ -286,21 +285,7 @@ def _draws(mid: ModelId, series: FailureSeries, cfg: FitConfig):
         batch = min(chunk, remaining)
         remaining -= batch
         chunk = min(2 * chunk, cap)
-        u = rng.random((batch, lo.size))
-        # One parameter at a time, each a contiguous row: on the (batch, k)
-        # array the k-long bounds would broadcast, and numpy's inner loop
-        # would run once per draw.  The values are the same.
-        columns = np.empty((lo.size, batch))
-        for j, column in enumerate(columns):
-            np.multiply(u[:, j], log_span[j], out=column)
-            column += log_lo[j]
-            np.exp(column, out=column)
-        yield columns.T
-
-
-def _profiles(series: FailureSeries, cfg: FitConfig) -> bool:
-    """Whether the budget pays for scoring every profiled draw in full."""
-    return _PROFILE_DRAWS * series.n <= cfg.search_budget
+        yield _log_uniform(rng, lo, hi, batch)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -310,11 +295,8 @@ def _profiled_search(mid: ModelId, series: FailureSeries, cfg: FitConfig) -> np.
     when no draw has a finite RSS.  An overflow or a shape of all zeros
     makes the scale, and so the RSS, non-finite."""
     lo, hi = search_bounds(mid, series.n)
-    log_lo = np.log(lo[1:])
-    log_span = np.log(hi[1:]) - log_lo
-    u = _model_rng(cfg, mid).random((_PROFILE_DRAWS, lo.size - 1))
     candidates = np.ones((_PROFILE_DRAWS, lo.size))
-    candidates[:, 1:] = np.exp(log_lo + u * log_span)
+    candidates[:, 1:] = _log_uniform(_model_rng(cfg, mid), lo[1:], hi[1:], _PROFILE_DRAWS)
     t = np.array(series.times)
     y = np.array(series.cumulative)
     kernel = _KERNELS[mid]
@@ -325,9 +307,12 @@ def _profiled_search(mid: ModelId, series: FailureSeries, cfg: FitConfig) -> np.
     return candidates[idx] if math.isfinite(rss[idx]) else None
 
 
-def _screened_search(mid: ModelId, series: FailureSeries, cfg: FitConfig) -> np.ndarray | None:
+def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) -> np.ndarray:
     """The first of ``cfg.search_budget`` log-uniform draws of least RSS,
-    screened chunk by chunk; None when no draw has a finite RSS."""
+    screened chunk by chunk; ``NumericError`` when no draw has a finite
+    RSS."""
+    mid = ModelId(model)
+    _require_enough_points(mid, series)
     t = np.array(series.times)
     y = np.array(series.cumulative)
     kernel = _KERNELS[mid]
@@ -343,18 +328,6 @@ def _screened_search(mid: ModelId, series: FailureSeries, cfg: FitConfig) -> np.
         if rss[idx] < best_rss:
             best_rss = float(rss[idx])
             best = candidates[idx].copy()
-    return best
-
-
-def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) -> np.ndarray:
-    """The profiled search's start where the budget pays for it and some
-    draw has a finite RSS, else the screened search's; ``NumericError`` when
-    no draw of either has a finite RSS."""
-    mid = ModelId(model)
-    _require_enough_points(mid, series)
-    best = _profiled_search(mid, series, cfg) if _profiles(series, cfg) else None
-    if best is None:
-        best = _screened_search(mid, series, cfg)
     if best is None:
         raise NumericError(f"no {mid} draw has a finite RSS")
     return best
@@ -512,24 +485,33 @@ def _on_bound(fit: FitResult, n: int) -> bool:
 
 
 def fit_one(model: ModelId | str, series: FailureSeries, cfg: FitConfig) -> FitResult:
-    """Initial search followed by refinement, as one call.
+    """The refined fit from the profiled start, the screened start or both.
 
-    A profiled start can lie in the basin of a limit on a bound (YE
-    reaches GO in two such limits, on different bounds), so when its fit
-    ends unconverged or on a bound, the screened search's start is refined
-    too and the lower RSS kept, the profiled fit's on a tie.
+    Where the budget pays for scoring 256·n profiled draws in full and one
+    of them has a finite RSS, its start is refined first.  A profiled start
+    can lie in the basin of a limit on a bound (YE reaches GO in two such
+    limits, on different bounds), so ``initial_search``'s start is refined
+    too when there is no profiled fit, or when it ends unconverged or on a
+    bound; the lower RSS is kept, the profiled fit's on a tie.  Each search
+    and each start's refine runs at most once.
     """
     mid = ModelId(model)
-    fit = refine(mid, series, initial_search(mid, series, cfg))
-    if _profiles(series, cfg) and (not fit.converged or _on_bound(fit, series.n)):
-        # Where no profiled draw had a finite RSS, this is the start already
-        # refined, and refining it again gives the same fit.
-        start = _screened_search(mid, series, cfg)
+    _require_enough_points(mid, series)
+    fit = None
+    if _PROFILE_DRAWS * series.n <= cfg.search_budget:
+        start = _profiled_search(mid, series, cfg)
         if start is not None:
-            other = refine(mid, series, start)
-            if other.rss < fit.rss:
-                return other
-    return fit
+            fit = refine(mid, series, start)
+            if fit.converged and not _on_bound(fit, series.n):
+                return fit
+    try:
+        start = initial_search(mid, series, cfg)
+    except NumericError:
+        if fit is None:
+            raise
+        return fit
+    other = refine(mid, series, start)
+    return other if fit is None or other.rss < fit.rss else fit
 
 
 def fit_all(

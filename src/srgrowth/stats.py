@@ -153,6 +153,18 @@ def _pooled_ranks(groups: Sequence[Sequence[float]]) -> tuple[list[float], float
     return ranks, tie_sum
 
 
+def _mean_ranks(groups: Sequence[Sequence[float]], ranks: list[float]) -> list[float]:
+    """Each group's mean of its ``ranks``, which list the pooled sample's
+    ranks group after group."""
+    means = []
+    offset = 0
+    # rank sums are sums of half-integers, exact in any order
+    for g in groups:
+        means.append(sum(ranks[offset : offset + len(g)]) / len(g))
+        offset += len(g)
+    return means
+
+
 def _validate_groups(groups) -> list[tuple[float, ...]]:
     samples = []
     for g in groups:
@@ -190,12 +202,8 @@ def kruskal_wallis(groups: Sequence[Iterable[float]]) -> tuple[float, float]:
         return 0.0, 1.0
     centre = (n_total + 1.0) / 2.0
     spread = 0.0
-    offset = 0
-    # rank sums are sums of half-integers, exact in any order
-    for g in samples:
-        mean_rank = sum(ranks[offset : offset + len(g)]) / len(g)
+    for g, mean_rank in zip(samples, _mean_ranks(samples, ranks)):
         spread += len(g) * (mean_rank - centre) ** 2
-        offset += len(g)
     h = 12.0 / (n_total * (n_total + 1.0)) * spread / correction
     return h, chi2_sf(h, len(samples) - 1)
 
@@ -213,12 +221,7 @@ def dunn_posthoc(groups: Sequence[Iterable[float]]) -> tuple[tuple[float, ...], 
     n_total = len(ranks)
     tie_term = tie_sum / (12.0 * (n_total - 1.0))
     base_var = n_total * (n_total + 1.0) / 12.0 - tie_term
-
-    mean_ranks = []
-    offset = 0
-    for g in samples:
-        mean_ranks.append(sum(ranks[offset : offset + len(g)]) / len(g))
-        offset += len(g)
+    mean_ranks = _mean_ranks(samples, ranks)
 
     n_pairs = k * (k - 1) / 2.0
     out = [[1.0] * k for _ in range(k)]

@@ -217,20 +217,19 @@ def overflow_case():
 @example(case=tied_case())
 @example(case=concave_case())
 def test_initial_search_equals_brute_force(model, case):
-    """In the screened search, screening draws on the last point, then on a
-    bound from a few points, never changes the chosen draw, nor whether
-    there is one."""
+    """Screening draws on the last point, then on a bound from a few points,
+    never changes the chosen draw, nor whether there is one."""
     series, cfg = case
     if series.n < descriptor(model).k + 1:
         with pytest.raises(InsufficientDataError):
             initial_search(model, series, cfg)
         return
     expected = brute_search(model, series, cfg)
-    found = fitting._screened_search(model, series, cfg)
     if expected is None:  # no draw has a finite RSS
-        assert found is None
+        with pytest.raises(NumericError):
+            initial_search(model, series, cfg)
     else:
-        assert np.array_equal(found, expected)
+        assert np.array_equal(initial_search(model, series, cfg), expected)
 
 
 def brute_profiled_draws(model, series, cfg):
@@ -283,14 +282,13 @@ def test_profiled_search_equals_brute_force(model, case):
 
 @pytest.mark.parametrize("model", MODEL_ORDER)
 def test_search_past_the_profiled_budget_is_the_screened_search(model):
-    """With 256·n draws the search is profiled; one draw fewer and it is the
-    screened search, bit for bit."""
+    """One draw short of 256·n, fit_one refines the screened start alone,
+    bit for bit; at 256·n, initial_search is still the screened search."""
     series = noisy_series(ModelId.GO, (300.0, 0.04), seed=2, n=20)
     short = FitConfig(search_budget=256 * series.n - 1, rng_seed=3)
-    assert np.array_equal(initial_search(model, series, short), brute_search(model, series, short))
+    assert fit_one(model, series, short) == refine(model, series, initial_search(model, series, short))
     enough = FitConfig(search_budget=256 * series.n, rng_seed=3)
-    profiled = fitting._profiled_search(ModelId(model), series, enough)
-    assert np.array_equal(initial_search(model, series, enough), profiled)
+    assert np.array_equal(initial_search(model, series, enough), brute_search(model, series, enough))
 
 
 def test_on_bound_sees_each_parameter_on_its_floor_or_its_cap():
@@ -314,10 +312,30 @@ def test_profiled_fit_on_a_bound_ends_no_higher_than_the_screened_fit():
     series = noisy_series(ModelId.GO, (300.0, 0.04), seed=1, n=30)
     cfg = FitConfig(search_budget=256 * series.n, rng_seed=0)
     profiled = refine(ModelId.YE, series, fitting._profiled_search(ModelId.YE, series, cfg))
-    screened = refine(ModelId.YE, series, fitting._screened_search(ModelId.YE, series, cfg))
+    screened = refine(ModelId.YE, series, initial_search(ModelId.YE, series, cfg))
     assert fitting._on_bound(profiled, series.n)
     fit = fit_one(ModelId.YE, series, cfg)
     assert fit.rss <= screened.rss < profiled.rss
+
+
+def test_fit_without_a_profiled_start_refines_the_screened_start_once(monkeypatch):
+    """With no profiled start, YE's fit on GO data ends on a bound, and the
+    screened search and its refine still run once each."""
+    series = noisy_series(ModelId.GO, (300.0, 0.04), seed=1, n=30)
+    cfg = FitConfig(search_budget=256 * series.n, rng_seed=0)
+    monkeypatch.setattr(fitting, "_profiled_search", lambda mid, series, cfg: None)
+    calls = {"initial_search": 0, "refine": 0}
+    for name in calls:
+        original = getattr(fitting, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(fitting, name, counting)
+    fit = fit_one(ModelId.YE, series, cfg)
+    assert fitting._on_bound(fit, series.n)
+    assert calls == {"initial_search": 1, "refine": 1}
 
 
 def test_fit_all_writes_a_placeholder_when_no_draw_has_a_finite_rss():
@@ -776,6 +794,6 @@ def test_unconverged_profiled_fit_is_refined_from_the_screened_start_too(monkeyp
     series = noisy_series(ModelId.GO, (300.0, 0.04), seed=4, n=30)
     cfg = FitConfig(search_budget=256 * series.n, rng_seed=0)
     profiled = refine(ModelId.WE, series, fitting._profiled_search(ModelId.WE, series, cfg))
-    screened = refine(ModelId.WE, series, fitting._screened_search(ModelId.WE, series, cfg))
+    screened = refine(ModelId.WE, series, initial_search(ModelId.WE, series, cfg))
     assert not profiled.converged and not fitting._on_bound(profiled, series.n)
     assert fit_one(ModelId.WE, series, cfg).rss == screened.rss < profiled.rss
