@@ -18,6 +18,9 @@ YR    Yamada Rayleigh            a * (1 - exp(-c * (1 - exp(-beta*t*t/2))))
 LL    Log-logistic               a * (l*t)**k / (1 + (l*t)**k)
 ====  =========================  =========================================
 
+Every model is linear in its first parameter, its scale: the asymptote
+of a bounded model, a defect-count factor for MO and DU.
+
 The Yamada models are fitted with the product of their test-effort rate and
 scale as a single combined parameter (reported as ``r·α``); the two factors
 only ever appear multiplied, so they cannot be identified separately from
@@ -41,13 +44,16 @@ from .records import MODEL_ORDER, ModelId  # noqa: F401  (re-exported)
 
 EXP_CLAMP = 700.0
 
-# Default fitting bounds.  The asymptote of the bounded models scales with
-# the data (100x the number of observed failures); every rate and shape
-# parameter shares one generous positive range.
+# Default fitting bounds.  Every model's first parameter is its scale, the
+# asymptote of a bounded model and the defect-count factor of MO and DU; it
+# grows with the data (100x the number of observed points, and at least
+# RATE_UPPER).  A bounded model's scale is floored at ASYMPTOTE_LOWER, an
+# infinite-failure model's at RATE_LOWER.  Every rate and shape parameter
+# shares one generous positive range.
 ASYMPTOTE_LOWER = 1e-6
 RATE_LOWER = 1e-9
 RATE_UPPER = 1e3
-ASYMPTOTE_SCALE = 100.0
+SCALE_PER_POINT = 100.0
 
 
 class ShapeClass(str, Enum):
@@ -62,16 +68,14 @@ class ShapeClass(str, Enum):
 class ModelDescriptor(NamedTuple):
     """Static description of one model.
 
-    ``data_scaled`` marks parameters whose default upper fitting bound is
-    ``100 * n`` for an n-point series (the asymptotes).  ``zero_ok`` marks
-    parameters whose mathematical domain includes zero; only the shape
-    parameter of HD qualifies (at c = 0 HD reduces to GO).
+    The first parameter is the scale: m(t) is linear in it.  ``zero_ok``
+    marks parameters whose mathematical domain includes zero; only the
+    shape parameter of HD qualifies (at c = 0 HD reduces to GO).
     """
 
     id: ModelId
     shape: ShapeClass
     param_names: tuple[str, ...]
-    data_scaled: tuple[bool, ...]
     zero_ok: tuple[bool, ...]
 
     @property
@@ -80,53 +84,18 @@ class ModelDescriptor(NamedTuple):
 
 
 _DESCRIPTORS: dict[ModelId, ModelDescriptor] = {
-    ModelId.GO: ModelDescriptor(
-        ModelId.GO, ShapeClass.CONCAVE, ("a", "b"), (True, False), (False, False)
-    ),
-    ModelId.GOS: ModelDescriptor(
-        ModelId.GOS, ShapeClass.S_SHAPED, ("a", "b"), (True, False), (False, False)
-    ),
-    ModelId.HD: ModelDescriptor(
-        ModelId.HD,
-        ShapeClass.CONCAVE,
-        ("a", "b", "c"),
-        (True, False, False),
-        (False, False, True),
-    ),
-    ModelId.MO: ModelDescriptor(
-        ModelId.MO, ShapeClass.INFINITE, ("α", "β"), (False, False), (False, False)
-    ),
-    ModelId.DU: ModelDescriptor(
-        ModelId.DU, ShapeClass.INFINITE, ("α", "β"), (False, False), (False, False)
-    ),
-    ModelId.WE: ModelDescriptor(
-        ModelId.WE,
-        ShapeClass.CONCAVE,
-        ("a", "b", "c"),
-        (True, False, False),
-        (False, False, False),
-    ),
-    ModelId.YE: ModelDescriptor(
-        ModelId.YE,
-        ShapeClass.CONCAVE,
-        ("a", "r·α", "β"),
-        (True, False, False),
-        (False, False, False),
-    ),
-    ModelId.YR: ModelDescriptor(
-        ModelId.YR,
-        ShapeClass.S_SHAPED,
-        ("a", "r·α", "β"),
-        (True, False, False),
-        (False, False, False),
-    ),
-    ModelId.LL: ModelDescriptor(
-        ModelId.LL,
-        ShapeClass.S_SHAPED,
-        ("a", "λ", "κ"),
-        (True, False, False),
-        (False, False, False),
-    ),
+    d.id: d
+    for d in (
+        ModelDescriptor(ModelId.GO, ShapeClass.CONCAVE, ("a", "b"), (False, False)),
+        ModelDescriptor(ModelId.GOS, ShapeClass.S_SHAPED, ("a", "b"), (False, False)),
+        ModelDescriptor(ModelId.HD, ShapeClass.CONCAVE, ("a", "b", "c"), (False, False, True)),
+        ModelDescriptor(ModelId.MO, ShapeClass.INFINITE, ("α", "β"), (False, False)),
+        ModelDescriptor(ModelId.DU, ShapeClass.INFINITE, ("α", "β"), (False, False)),
+        ModelDescriptor(ModelId.WE, ShapeClass.CONCAVE, ("a", "b", "c"), (False, False, False)),
+        ModelDescriptor(ModelId.YE, ShapeClass.CONCAVE, ("a", "r·α", "β"), (False, False, False)),
+        ModelDescriptor(ModelId.YR, ShapeClass.S_SHAPED, ("a", "r·α", "β"), (False, False, False)),
+        ModelDescriptor(ModelId.LL, ShapeClass.S_SHAPED, ("a", "λ", "κ"), (False, False, False)),
+    )
 }
 
 
@@ -352,17 +321,16 @@ def gradient(model: ModelId | str, params, t):
 def search_bounds(model: ModelId | str, n_obs: int) -> tuple[np.ndarray, np.ndarray]:
     """Default fitting bounds (lower, upper) for an ``n_obs``-point series.
 
-    Asymptote parameters live in (1e-6, 100 * n_obs]; rate and shape
-    parameters live in (1e-9, 1e3].
+    The scale (the first parameter) lives in (1e-6, max(100 * n_obs, 1e3)],
+    or in (1e-9, max(100 * n_obs, 1e3)] for MO and DU, whose scale is no
+    asymptote; rate and shape parameters live in (1e-9, 1e3].
     """
     desc = descriptor(model)
     if n_obs < 1:
         raise ValueError("n_obs must be at least 1")
-    lo = np.array(
-        [ASYMPTOTE_LOWER if ds else RATE_LOWER for ds in desc.data_scaled], dtype=float
-    )
-    hi = np.array(
-        [ASYMPTOTE_SCALE * n_obs if ds else RATE_UPPER for ds in desc.data_scaled],
-        dtype=float,
-    )
+    lo = np.full(desc.k, RATE_LOWER)
+    hi = np.full(desc.k, RATE_UPPER)
+    if desc.shape is not ShapeClass.INFINITE:
+        lo[0] = ASYMPTOTE_LOWER
+    hi[0] = max(SCALE_PER_POINT * n_obs, RATE_UPPER)
     return lo, hi

@@ -75,7 +75,11 @@ FORMULA_VARIANTS = {
     "inter_rater_agreement": (
         "agreeing (model, segment-pair) rank cells / (models * segment pairs) * 100"
     ),
-    "initial_search": (
+    "bounds": (
+        "scale (first parameter) in (1e-6, max(100*n, 1e3)] on n points, in (1e-9, "
+        "max(100*n, 1e3)] for MO and DU; rate and shape parameters in (1e-9, 1e3]"
+    ),
+    "start": (
         "seeded log-uniform draws within bounds; with 256*n <= budget, 256 shape draws each with "
         "its least-squares scale clipped to bounds, best RSS, and a fit from it that ends "
         "unconverged or on a bound is also refined from the screened start, lower RSS kept; "

@@ -537,18 +537,21 @@ def test_refine_holds_hd_shape_on_its_floor():
 
 
 def test_refine_holds_mo_scale_on_its_cap():
-    series = noisy_series(ModelId.MO, (5000.0, 0.01), seed=4)
-    result = refine(ModelId.MO, series, (RATE_UPPER, 0.05))
+    """MO data whose scale lies above the cap of 100·n: α stays on it."""
+    series = noisy_series(ModelId.MO, (50_000.0, 0.01), seed=4)
+    hi = search_bounds(ModelId.MO, series.n)[1]
+    result = refine(ModelId.MO, series, (hi[0], 0.05))
     assert result.converged and result.iterations_used <= 50
-    assert result.params[0] == RATE_UPPER
+    assert result.params[0] == hi[0] == 100.0 * series.n
 
 
 def test_refine_stops_at_once_when_every_parameter_is_held(monkeypatch):
-    """Counts far above MO's curve at (RATE_UPPER, RATE_UPPER): both
-    parameters would leave the box, so the start is a bound-constrained
-    stationary point and no trial step is evaluated."""
+    """Counts far above MO's curve at both upper bounds: both parameters
+    would leave the box, so the start is a bound-constrained stationary
+    point and no trial step is evaluated."""
     t = np.linspace(0.01, 1.0, 20)
     series = FailureSeries(times=t, horizon=1.0, counts=1e6 * (1.0 + t))
+    start = (search_bounds(ModelId.MO, series.n)[1][0], RATE_UPPER)
     kernel = fitting._KERNELS[ModelId.MO]
     calls = []
 
@@ -557,9 +560,9 @@ def test_refine_stops_at_once_when_every_parameter_is_held(monkeypatch):
         return kernel(p, times, jac=jac)
 
     monkeypatch.setitem(fitting._KERNELS, ModelId.MO, recording)
-    result = refine(ModelId.MO, series, (RATE_UPPER, RATE_UPPER))
+    result = refine(ModelId.MO, series, start)
     assert result.converged and result.iterations_used == 1
-    assert result.params == (RATE_UPPER, RATE_UPPER)
+    assert result.params == start == (2000.0, RATE_UPPER)
     # the start, one Jacobian, and the final scores
     assert calls == ["mean", "jac", "mean"]
 
@@ -652,9 +655,10 @@ def test_refine_converges_on_the_rss_rule_alone(monkeypatch):
 
 # (model, generating parameters, start): each start puts one or two
 # parameters on a bound.  HD fits GO data, so its best c lies below the
-# floor it starts on; MO's generating scale lies above RATE_UPPER.  Starts
-# with an asymptote on its floor are left out: from m ~ 0 both solvers can
-# end on the plateau of a saturated rate, and refine on a worse one.
+# floor it starts on; MO starts with β on its floor and α inside the box,
+# below the generating scale.  Starts with an asymptote on its floor are
+# left out: from m ~ 0 both solvers can end on the plateau of a saturated
+# rate, and refine on a worse one.
 ORACLE_CASES = [
     (ModelId.GO, (300.0, 0.04), (240.0, RATE_LOWER)),
     (ModelId.GOS, (250.0, 0.07), (12_000.0, 0.091)),  # a on its cap, 100·n

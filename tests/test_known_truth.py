@@ -1,0 +1,55 @@
+# Known-truth oracle: least squares over a box reaches an RSS no larger
+# than at any point of the box, the parameters that generated the data
+# among them.  Each case samples event times from a model's own mean value
+# function and fits that model to them.
+
+import numpy as np
+import pytest
+
+from srgrowth.fitting import FitConfig, fit_one
+from srgrowth.models import ModelId, mean_value, search_bounds
+from srgrowth.series import FailureSeries
+
+HORIZON = 1000.0
+GRID = np.linspace(0.0, HORIZON, 200_001)
+SAMPLING_SEED = 1
+
+# (model, shape parameters): the scale follows from the series size
+SHAPES = [
+    *((ModelId.MO, (beta,)) for beta in (1e-2, 1e-3, 3e-4, 1e-4)),
+    *((ModelId.DU, (beta,)) for beta in (0.2, 0.5, 1.5)),
+    (ModelId.GO, (0.003,)),
+    (ModelId.GOS, (0.01,)),
+    (ModelId.HD, (0.004, 2.0)),
+    (ModelId.WE, (0.002, 1.3)),
+    (ModelId.YE, (3.0, 0.002)),
+    (ModelId.YR, (2.0, 1e-5)),
+    (ModelId.LL, (0.005, 2.0)),
+]
+
+
+def sample_known_truth(model, shape, n, seed):
+    """The truth and n event times on (0, HORIZON] drawn from it.
+
+    The truth's scale is conditioned on n (a·n/m(T), so m(T) = n), and the
+    times are n sorted uniform draws of m(t)/m(T) mapped back through m,
+    which is inverted by interpolation on ``GRID``.
+    """
+    g = mean_value(model, (1.0, *shape), GRID)
+    truth = np.array([n / g[-1], *shape])
+    u = np.sort(np.random.default_rng(seed).random(n)) * g[-1]
+    return truth, FailureSeries(times=np.interp(u, g, GRID), horizon=HORIZON)
+
+
+@pytest.mark.parametrize("n", [50, 300, 1500])
+@pytest.mark.parametrize(
+    "model, shape", SHAPES, ids=[f"{m.value}-{','.join(map(str, s))}" for m, s in SHAPES]
+)
+def test_fit_is_no_worse_than_the_truth(model, shape, n):
+    truth, series = sample_known_truth(model, shape, n, SAMPLING_SEED)
+    lo, hi = search_bounds(model, series.n)
+    assert np.all((lo < truth) & (truth <= hi))
+    y = np.array(series.cumulative)
+    truth_rss = float(np.sum((y - mean_value(model, truth, series.times)) ** 2))
+    fit = fit_one(model, series, FitConfig())
+    assert fit.rss <= truth_rss * (1.0 + 1e-9)

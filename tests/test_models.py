@@ -244,12 +244,15 @@ def test_mean_value_rejects_bad_params_too():
 
 
 def test_search_bounds_scale_with_series_size():
-    lo_small, hi_small = search_bounds(ModelId.GO, 10)
-    lo_big, hi_big = search_bounds(ModelId.GO, 1000)
-    assert hi_small[0] == 100.0 * 10
-    assert hi_big[0] == 100.0 * 1000
-    assert np.all(lo_small > 0)
-    assert np.all(lo_small < hi_small)
+    """Every model's scale, its first parameter, is capped at 100 per point
+    and at least 1e3; only the asymptote of a bounded model is floored at
+    1e-6."""
+    for model in MODEL_ORDER:
+        for n, cap in ((3, 1e3), (10, 1e3), (1000, 1e5)):
+            lo, hi = search_bounds(model, n)
+            floor = 1e-9 if classify(model) is ShapeClass.INFINITE else 1e-6
+            assert (lo[0], hi[0]) == (floor, cap)
+            assert np.all(lo[1:] == 1e-9) and np.all(hi[1:] == 1e3)
 
 
 def test_search_bounds_arity_matches_model():

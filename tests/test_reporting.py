@@ -2,11 +2,19 @@
 
 import json
 import math
+import re
 
 import numpy as np
 
 from srgrowth.fitting import FitConfig, FitResult, GofScores, fit_all
-from srgrowth.models import ModelId, mean_value
+from srgrowth.models import (
+    ASYMPTOTE_LOWER,
+    RATE_LOWER,
+    RATE_UPPER,
+    SCALE_PER_POINT,
+    ModelId,
+    mean_value,
+)
 from srgrowth.reporting import (
     FORMULA_VARIANTS,
     GOF_COLUMNS,
@@ -158,10 +166,16 @@ def test_base_metadata_names_every_formula_variant():
     assert meta["command"] == "fit"
     variants = meta["variants"]
     for key in ("aic", "bic", "laplace", "kruskal_wallis", "dunn",
-                "eta_squared", "inter_rater_agreement", "r2", "rse"):
+                "eta_squared", "inter_rater_agreement", "r2", "rse", "bounds", "start"):
         assert key in variants
         assert isinstance(variants[key], str) and variants[key]
     assert "timestamp" not in meta  # outputs must stay byte-reproducible
+
+
+def test_bounds_variant_states_the_search_box():
+    numbers = re.findall(r"\d+(?:\.\d+)?(?:e-?\d+)?", FORMULA_VARIANTS["bounds"])
+    stated = {float(x) for x in numbers}
+    assert stated == {ASYMPTOTE_LOWER, RATE_LOWER, RATE_UPPER, SCALE_PER_POINT}
 
 
 def test_gof_csv_survives_fit_results_end_to_end(tmp_path):
