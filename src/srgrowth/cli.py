@@ -162,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
                 dest="search_budget",
                 metavar="BUDGET",
                 help=(
-                    "initial search draws per model (default: FitConfig's); a series of n points "
-                    "with 256*n <= budget gets 256 draws of the shape, each with its least-squares "
-                    "scale, a longer one budget draws of every parameter, screened"
+                    "screened search draws per model (default: FitConfig's); every fit starts "
+                    "from 256 draws of the shape, each with its least-squares scale, on at most "
+                    "256 points, and falls back to budget draws of every parameter, screened"
                 ),
             )
         cmd.set_defaults(func=func)

@@ -11,14 +11,13 @@ is recorded on the result, never raised.
 
 Every model is linear in its first parameter, the scale: m(t) = a·g(t; θ),
 and the kernel called with a = 1 returns the shape g.  ``fit_one`` alone
-decides which starts are refined.  On a series of n points with
-256·n <= ``search_budget`` it first refines the profiled search's start:
-256 shapes θ, each given the least-squares scale <g, y>/<g, g> clipped to
-the scale's bounds and scored in full (variable projection, Golub &
-Pereyra 1973).  It refines ``initial_search``'s screened start when there
-is no such fit (a longer series, or no profiled draw with a finite RSS)
-or when that fit ends unconverged or with a parameter on a bound, and
-keeps the lower RSS.
+decides which starts are refined.  On every series it first refines the
+profiled search's start: 256 shapes θ, each given the least-squares scale
+<g, y>/<g, g> clipped to the scale's bounds (variable projection, Golub &
+Pereyra 1973), all scored on at most 256 evenly spread points.  It
+refines ``initial_search``'s screened start too when there is no such fit
+(no profiled draw with a finite RSS) or when that fit ends unconverged or
+with a parameter on a bound, and keeps the lower RSS.
 
 ``initial_search`` draws all parameters, ``search_budget`` draws in all,
 and screens each chunk of them in two stages.  Once an earlier
@@ -77,6 +76,7 @@ REFINE_RSS_REL_TOL = 1e-10
 REFINE_STEP_TOL = 1e-12
 
 _PROFILE_DRAWS = 256
+_PROFILE_POINTS = 256
 _SEARCH_FIRST_CHUNK = 512
 _SEARCH_CHUNK = 4096
 _SEARCH_ELEMENTS = 1 << 20  # cap on candidates x points per chunk
@@ -182,13 +182,20 @@ class _Screen(NamedTuple):
     slack: float  # relative rounding an n-point RSS may carry
 
 
+def _spread(n: int, count: int) -> np.ndarray:
+    """``count`` evenly spread indices into n points, rounded, without
+    repeats: the first and the last always, and every index when n <= count.
+    Index i is i·last/gaps rounded: ``count`` is even, so gaps is odd, no
+    quotient ends in a half, and rounding half up picks what np.round would.
+    A set dedupes them, as np.unique would load numpy.ma."""
+    last, gaps = n - 1, count - 1
+    return np.array(sorted({(2 * i * last + gaps) // (2 * gaps) for i in range(count)}))
+
+
 def _screen_points(t, y) -> _Screen:
-    # The first and the last index are always screen points, and with
-    # n <= 8 points every point is one, so no point lies between them.
-    # Index i is i·last/gaps rounded: gaps = 7 is odd, so no quotient ends
-    # in a half and rounding half up picks what np.round would.
-    last, gaps = t.size - 1, _SCREEN_POINTS - 1
-    sel = np.array(sorted({(2 * i * last + gaps) // (2 * gaps) for i in range(_SCREEN_POINTS)}))
+    # With n <= 8 points every point is a screen point, so no point lies
+    # between two of them.
+    sel = _spread(t.size, _SCREEN_POINTS)
     between = [y[i + 1 : j] for i, j in zip(sel[:-1], sel[1:])]
     return _Screen(
         t=t[sel],
@@ -291,14 +298,17 @@ def _draws(mid: ModelId, series: FailureSeries, cfg: FitConfig):
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _profiled_search(mid: ModelId, series: FailureSeries, cfg: FitConfig) -> np.ndarray | None:
     """The first of ``_PROFILE_DRAWS`` log-uniform shape draws, each with its
-    least-squares scale clipped to the scale's bounds, of least RSS; None
-    when no draw has a finite RSS.  An overflow or a shape of all zeros
-    makes the scale, and so the RSS, non-finite."""
+    least-squares scale clipped to the scale's bounds, of least RSS, all on
+    the ``_PROFILE_POINTS`` points ``_spread`` picks; None when no draw has
+    a finite RSS there.  An overflow or a shape of all zeros makes the
+    scale, and so the RSS, non-finite."""
     lo, hi = search_bounds(mid, series.n)
     candidates = np.ones((_PROFILE_DRAWS, lo.size))
     candidates[:, 1:] = _log_uniform(_model_rng(cfg, mid), lo[1:], hi[1:], _PROFILE_DRAWS)
-    t = np.array(series.times)
-    y = np.array(series.cumulative)
+    points = _spread(series.n, _PROFILE_POINTS)
+    cumulative = series.cumulative
+    t = np.array([series.times[i] for i in points])
+    y = np.array([cumulative[i] for i in points])
     kernel = _KERNELS[mid]
     shapes = kernel(candidates, t)
     candidates[:, 0] = np.clip((shapes @ y) / np.einsum("ij,ij->i", shapes, shapes), lo[0], hi[0])
@@ -487,23 +497,21 @@ def _on_bound(fit: FitResult, n: int) -> bool:
 def fit_one(model: ModelId | str, series: FailureSeries, cfg: FitConfig) -> FitResult:
     """The refined fit from the profiled start, the screened start or both.
 
-    Where the budget pays for scoring 256·n profiled draws in full and one
-    of them has a finite RSS, its start is refined first.  A profiled start
-    can lie in the basin of a limit on a bound (YE reaches GO in two such
-    limits, on different bounds), so ``initial_search``'s start is refined
-    too when there is no profiled fit, or when it ends unconverged or on a
-    bound; the lower RSS is kept, the profiled fit's on a tie.  Each search
-    and each start's refine runs at most once.
+    The profiled start is refined first, where one of its draws has a
+    finite RSS.  It can lie in the basin of a limit on a bound (YE reaches
+    GO in two such limits, on different bounds), so ``initial_search``'s
+    start is refined too when there is no profiled fit, or when it ends
+    unconverged or on a bound; the lower RSS is kept, the profiled fit's on
+    a tie.  Each search and each start's refine runs at most once.
     """
     mid = ModelId(model)
     _require_enough_points(mid, series)
     fit = None
-    if _PROFILE_DRAWS * series.n <= cfg.search_budget:
-        start = _profiled_search(mid, series, cfg)
-        if start is not None:
-            fit = refine(mid, series, start)
-            if fit.converged and not _on_bound(fit, series.n):
-                return fit
+    start = _profiled_search(mid, series, cfg)
+    if start is not None:
+        fit = refine(mid, series, start)
+        if fit.converged and not _on_bound(fit, series.n):
+            return fit
     try:
         start = initial_search(mid, series, cfg)
     except NumericError:

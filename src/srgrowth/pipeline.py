@@ -125,9 +125,13 @@ _MISSING = object()
 
 
 def _integer_id(raw) -> int | None:
-    """``raw`` as an id: an int, an integral float or a string of digits;
-    None for a bool, a non-integral or non-finite float, or anything else."""
+    """``raw`` as an id: an int, an integral float or a string of ASCII
+    digits; None for a bool, a non-integral or non-finite float, any other
+    string (a sign, a blank, an underscore or a non-ASCII digit), or
+    anything else."""
     if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        return None
+    if isinstance(raw, str) and not (raw.isascii() and raw.isdigit()):
         return None
     try:
         return int(raw)

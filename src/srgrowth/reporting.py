@@ -80,10 +80,10 @@ FORMULA_VARIANTS = {
         "max(100*n, 1e3)] for MO and DU; rate and shape parameters in (1e-9, 1e3]"
     ),
     "start": (
-        "seeded log-uniform draws within bounds; with 256*n <= budget, 256 shape draws each with "
-        "its least-squares scale clipped to bounds, best RSS, and a fit from it that ends "
-        "unconverged or on a bound is also refined from the screened start, lower RSS kept; "
-        "otherwise best RSS of budget draws of all parameters"
+        "seeded log-uniform draws within bounds; 256 shape draws each with its least-squares "
+        "scale clipped to bounds, best RSS on at most 256 evenly spread points; a fit from it "
+        "that ends unconverged or on a bound, or no finite RSS, also refines the best RSS of "
+        "budget draws of all parameters, lower RSS kept"
     ),
     "refine": (
         "damped Gauss-Newton with analytic Jacobian; parameters on a bound whose "

@@ -700,8 +700,9 @@ def test_cli_import_loads_only_what_every_verb_needs():
 
 
 def test_fit_leaves_numpy_ma_unloaded(tmp_path, two_projects):
-    """At this budget alpha's 80 points take the screened search and beta's
-    60 the profiled one; neither loads numpy.ma (np.unique would)."""
+    """Every fit of alpha's 80 points and beta's 60 takes the profiled
+    search, and the screened one where that fit ends unconverged or on a
+    bound; neither search loads numpy.ma (np.unique would)."""
     a, b = two_projects
     out = tmp_path / "fit"
     code = (

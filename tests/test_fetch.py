@@ -197,9 +197,11 @@ def test_fetch_sorts_across_pages():
 
 
 def test_fetch_skips_ids_that_are_not_integers():
-    """A bool, a non-integral or a non-finite number is no id; an int, an
-    integral float and a string of digits are."""
+    """A bool, a non-integral or a non-finite number is no id, nor a string
+    that is more than ASCII digits; an int, an integral float and a string
+    of ASCII digits are."""
     bad = [True, 1.7, 2.9, float("inf"), float("nan"), "1.5", None]
+    bad += ["1_000", " 12 ", "+7", "-3", "\u0663"]
     page = [entry(i) for i in (*bad, 3, 4.0, "5")]
     session = FakeSession([FakeResponse(payload=page)])
     result = fetch_issues("owner/repo", page_size=100, session=session)

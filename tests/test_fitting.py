@@ -232,15 +232,25 @@ def test_initial_search_equals_brute_force(model, case):
         assert np.array_equal(initial_search(model, series, cfg), expected)
 
 
+def profiled_points(series):
+    """The series at the at most 256 evenly spread points, rounded, that
+    the profiled search scores its draws on."""
+    idx = np.unique(np.round(np.linspace(0, series.n - 1, 256))).astype(int)
+    counts = np.array(series.cumulative)[idx]
+    return FailureSeries(times=np.array(series.times)[idx], horizon=series.horizon, counts=counts)
+
+
 def brute_profiled_draws(model, series, cfg):
     """Reference profiled search: the same 256 shape draws, each given its
-    clipped least-squares scale and scored in full one at a time.  Returns
-    the draws with their scales and their RSS, NaN where not finite."""
+    clipped least-squares scale and scored one at a time on the points of
+    ``profiled_points``.  Returns the draws with their scales and their
+    RSS, NaN where not finite."""
     lo, hi = search_bounds(model, series.n)
     rng = np.random.default_rng([cfg.rng_seed, MODEL_ORDER.index(ModelId(model))])
     shapes = np.exp(np.log(lo[1:]) + rng.random((256, lo.size - 1)) * np.log(hi[1:] / lo[1:]))
     kernel = _KERNELS[ModelId(model)]
-    t, y = np.array(series.times), np.array(series.cumulative)
+    points = profiled_points(series)
+    t, y = np.array(points.times), np.array(points.cumulative)
     params, rss = [], []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for theta in shapes:
@@ -261,10 +271,12 @@ def brute_profiled_draws(model, series, cfg):
 @example(case=zigzag_case())
 @example(case=step_case())
 @example(case=overflow_case())
+@example(case=concave_case())
 def test_profiled_search_equals_brute_force(model, case):
     """The profiled search, at any budget, keeps one of its 256 shape draws
-    with that draw's clipped least-squares scale, and no draw scores lower,
-    nor an earlier one as low, beyond the rounding of a sum."""
+    with that draw's clipped least-squares scale, and no draw scores lower
+    on the profiled points, nor an earlier one as low, beyond the rounding
+    of a sum."""
     series, cfg = case
     if series.n < descriptor(model).k + 1:
         return
@@ -275,20 +287,28 @@ def test_profiled_search_equals_brute_force(model, case):
         return
     chosen = int(np.flatnonzero((params[:, 1:] == found[1:]).all(axis=1))[0])
     assert_allclose(found[0], params[chosen, 0], rtol=1e-12)
-    found_rss = rss_of(model, found, series)
+    found_rss = rss_of(model, found, profiled_points(series))
     assert found_rss <= np.nanmin(rss) * (1.0 + 1e-12)
     assert not np.any(rss[:chosen] < found_rss * (1.0 - 1e-12))
 
 
 @pytest.mark.parametrize("model", MODEL_ORDER)
 def test_search_past_the_profiled_budget_is_the_screened_search(model):
-    """One draw short of 256·n, fit_one refines the screened start alone,
-    bit for bit; at 256·n, initial_search is still the screened search."""
+    """Budget and series size pick no start: one draw short of 256·n and at
+    256·n alike, fit_one is the fit from the profiled start, bit for bit,
+    where that fit is converged and interior, and never worse elsewhere
+    (YE here ends on a bound); at 256·n, initial_search is still the
+    screened search."""
     series = noisy_series(ModelId.GO, (300.0, 0.04), seed=2, n=20)
-    short = FitConfig(search_budget=256 * series.n - 1, rng_seed=3)
-    assert fit_one(model, series, short) == refine(model, series, initial_search(model, series, short))
-    enough = FitConfig(search_budget=256 * series.n, rng_seed=3)
-    assert np.array_equal(initial_search(model, series, enough), brute_search(model, series, enough))
+    for budget in (256 * series.n - 1, 256 * series.n):
+        cfg = FitConfig(search_budget=budget, rng_seed=3)
+        profiled = refine(model, series, fitting._profiled_search(ModelId(model), series, cfg))
+        fit = fit_one(model, series, cfg)
+        if profiled.converged and not fitting._on_bound(profiled, series.n):
+            assert fit == profiled
+        else:
+            assert fit.rss <= profiled.rss
+    assert np.array_equal(initial_search(model, series, cfg), brute_search(model, series, cfg))
 
 
 def test_on_bound_sees_each_parameter_on_its_floor_or_its_cap():
@@ -338,20 +358,28 @@ def test_fit_without_a_profiled_start_refines_the_screened_start_once(monkeypatc
     assert calls == {"initial_search": 1, "refine": 1}
 
 
-def test_fit_all_writes_a_placeholder_when_no_draw_has_a_finite_rss():
+def test_fit_all_writes_a_placeholder_when_no_draw_has_a_finite_rss(monkeypatch):
+    """DU's one screened draw on the overflow case has no finite RSS, so
+    with no profiled start either the fit is a placeholder."""
     series, cfg = overflow_case()
+    monkeypatch.setattr(fitting, "_profiled_search", lambda mid, series, cfg: None)
     (result,) = fit_all(series, models=("DU",), cfg=cfg)
     assert result.model is ModelId.DU
     assert math.isnan(result.rss) and all(math.isnan(p) for p in result.params)
     assert not result.converged and result.iterations_used == 0
 
 
-def test_fit_from_an_overflowing_draw_warns_nothing():
+def test_fit_from_an_overflowing_draw_warns_nothing(monkeypatch):
+    """DU's profiled draws give the overflow case a finite fit; without
+    them it gets the placeholder.  Neither way warns."""
     series, cfg = overflow_case()
     with warnings.catch_warnings(), np.errstate(over="warn"):
         warnings.simplefilter("error")
-        (result,) = fit_all(series, models=("DU",), cfg=cfg)
-    assert math.isnan(result.rss) and result.iterations_used == 0
+        (profiled,) = fit_all(series, models=("DU",), cfg=cfg)
+        monkeypatch.setattr(fitting, "_profiled_search", lambda mid, series, cfg: None)
+        (placeholder,) = fit_all(series, models=("DU",), cfg=cfg)
+    assert math.isfinite(profiled.rss) and profiled.iterations_used > 0
+    assert math.isnan(placeholder.rss) and placeholder.iterations_used == 0
 
 
 def test_search_chunks_stay_under_the_element_cap(monkeypatch):
@@ -730,7 +758,7 @@ def test_fit_one_equals_search_plus_refine():
     series = synthetic_series(ModelId.GOS, (250.0, 0.07))
     cfg = FitConfig(search_budget=3000, rng_seed=17)
     combined = fit_one(ModelId.GOS, series, cfg)
-    start = initial_search(ModelId.GOS, series, cfg)
+    start = fitting._profiled_search(ModelId.GOS, series, cfg)
     split = refine(ModelId.GOS, series, start)
     assert combined.params == split.params
     assert combined.rss == split.rss
@@ -801,3 +829,15 @@ def test_unconverged_profiled_fit_is_refined_from_the_screened_start_too(monkeyp
     screened = refine(ModelId.WE, series, initial_search(ModelId.WE, series, cfg))
     assert not profiled.converged and not fitting._on_bound(profiled, series.n)
     assert fit_one(ModelId.WE, series, cfg).rss == screened.rss < profiled.rss
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 20_000), count=st.sampled_from([8, 256]))
+def test_spread_is_numpys_rounded_linspace(n, count):
+    """_spread picks the indices np.round(np.linspace(...)) does, every one
+    of them when n <= count, from the first to the last."""
+    spread = fitting._spread(n, count)
+    assert np.array_equal(spread, np.unique(np.round(np.linspace(0, n - 1, count))).astype(int))
+    if n <= count:
+        assert np.array_equal(spread, np.arange(n))
+    assert spread[0] == 0 and spread[-1] == n - 1

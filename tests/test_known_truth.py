@@ -53,3 +53,29 @@ def test_fit_is_no_worse_than_the_truth(model, shape, n):
     truth_rss = float(np.sum((y - mean_value(model, truth, series.times)) ** 2))
     fit = fit_one(model, series, FitConfig())
     assert fit.rss <= truth_rss * (1.0 + 1e-9)
+
+
+# (truth model, shape, n, seed): long series on which WE, refined from a
+# search of every parameter alone, once ended at 30 to 2e4 times GO's RSS
+NESTED_CASES = [
+    (ModelId.GO, (0.003,), 4000, 1),
+    (ModelId.WE, (0.002, 1.3), 8000, 1),
+    (ModelId.GOS, (0.01,), 2000, 2),
+    (ModelId.YE, (3.0, 0.002), 4000, 2),
+    (ModelId.LL, (0.005, 2.0), 4000, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "model, shape, n, seed",
+    NESTED_CASES,
+    ids=[f"{m.value}-{','.join(map(str, s))}-n{n}-seed{seed}" for m, s, n, seed in NESTED_CASES],
+)
+def test_we_is_no_worse_than_the_go_it_nests(model, shape, n, seed):
+    """WE at shape c = 1 is GO, so its least-squares fit is never worse,
+    also on long series at a small search budget."""
+    _, series = sample_known_truth(model, shape, n, seed)
+    cfg = FitConfig(search_budget=500)
+    go = fit_one(ModelId.GO, series, cfg)
+    we = fit_one(ModelId.WE, series, cfg)
+    assert we.rss <= go.rss * (1.0 + 1e-9)

@@ -307,9 +307,11 @@ def test_decode_line_matches_json_loads(value, indent, cut, bom, lead, tail, gar
 
 @pytest.mark.parametrize("form", ["array", "ndjson"])
 def test_parse_issues_skips_ids_that_are_not_integers(form):
-    """A bool, a non-integral or a non-finite number is no id; an int, an
-    integral float and a string of digits are."""
+    """A bool, a non-integral or a non-finite number is no id, nor a string
+    that is more than ASCII digits; an int, an integral float and a string
+    of ASCII digits are."""
     bad = ["true", "1.7", "2.9", "Infinity", "-Infinity", "NaN", '"1.5"', "null", "[3]"]
+    bad += ['"1_000"', '" 12 "', '"+7"', '"-3"', '"\u0663"']
     good = {"3": 3, "4.0": 4, "-5": -5, '"6"': 6, "1e20": 10**20}
     lines = [
         f'{{"id": {token}, "created_at": "2021-03-01T00:00:00Z", "labels": ["bug"]}}'
