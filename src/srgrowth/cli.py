@@ -162,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
                 dest="search_budget",
                 metavar="BUDGET",
                 help=(
-                    "screened search draws per model (default: FitConfig's); every fit starts "
-                    "from 256 draws of the shape, each with its least-squares scale, on at most "
-                    "256 points, and falls back to budget draws of every parameter, screened"
+                    "shape draws per model, default 256 (FitConfig's); each gets its least-squares "
+                    "scale on at most 256 points and every fit starts from the best, except YE, "
+                    "which starts from the two GO limits of GO's fit"
                 ),
             )
         cmd.set_defaults(func=func)

@@ -80,10 +80,9 @@ FORMULA_VARIANTS = {
         "max(100*n, 1e3)] for MO and DU; rate and shape parameters in (1e-9, 1e3]"
     ),
     "start": (
-        "seeded log-uniform draws within bounds; 256 shape draws each with its least-squares "
-        "scale clipped to bounds, best RSS on at most 256 evenly spread points; a fit from it "
-        "that ends unconverged or on a bound, or no finite RSS, also refines the best RSS of "
-        "budget draws of all parameters, lower RSS kept"
+        "budget seeded log-uniform shape draws within bounds, each with its least-squares scale "
+        "clipped to bounds, best RSS on at most 256 evenly spread points; YE instead refines "
+        "(A, c_max, B/c_max) and (a_max, A/a_max, B) from GO's fit (A, B), lower RSS kept"
     ),
     "refine": (
         "damped Gauss-Newton with analytic Jacobian; parameters on a bound whose "

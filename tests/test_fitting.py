@@ -1,7 +1,6 @@
 # Tests for the two-stage fitting engine: seeded random search plus
 # damped least-squares refinement.
 
-import itertools
 import math
 import warnings
 
@@ -103,45 +102,55 @@ def test_initial_search_beats_random_probes():
         assert best_rss <= rss_of(ModelId.GOS, probe, series) + 1e-9
 
 
+def profiled_points(series):
+    """The series at the at most 256 evenly spread points, rounded, that
+    the search scores its draws on."""
+    idx = np.unique(np.round(np.linspace(0, series.n - 1, 256))).astype(int)
+    counts = np.array(series.cumulative)[idx]
+    return FailureSeries(times=np.array(series.times)[idx], horizon=series.horizon, counts=counts)
+
+
+def shape_draws(model, series, cfg):
+    """The search's ``cfg.search_budget`` draws, one a row, with a scale of 1."""
+    lo, hi = search_bounds(model, series.n)
+    rng = np.random.default_rng([cfg.rng_seed, MODEL_ORDER.index(ModelId(model))])
+    log_lo, log_hi = np.log(lo[1:]), np.log(hi[1:])
+    draws = np.ones((cfg.search_budget, lo.size))
+    draws[:, 1:] = np.exp(log_lo + rng.random((cfg.search_budget, lo.size - 1)) * (log_hi - log_lo))
+    return draws
+
+
 def brute_search(model, series, cfg):
-    """Reference search: score every draw in full, chunk by chunk, keeping
-    the first minimum; the same draws as ``initial_search``.  None when no
+    """Reference search: every draw in one batch, each given its clipped
+    least-squares scale and scored on the points of ``profiled_points`` as
+    ``initial_search`` scores it, keeping the first minimum; None when no
     draw has a finite RSS."""
     lo, hi = search_bounds(model, series.n)
-    log_lo = np.log(lo)
-    log_span = np.log(hi) - log_lo
-    kernel = _KERNELS[ModelId(model)]
-    rng = np.random.default_rng([cfg.rng_seed, MODEL_ORDER.index(ModelId(model))])
-    t, y = np.array(series.times), np.array(series.cumulative)
-    best_rss, best = math.inf, None
-    remaining = cfg.search_budget
-    while remaining > 0:
-        batch = min(4096, remaining)
-        remaining -= batch
-        candidates = np.exp(log_lo + rng.random((batch, lo.size)) * log_span)
-        residuals = kernel(candidates, t) - y
-        rss = np.einsum("ij,ij->i", residuals, residuals)
-        rss = np.where(np.isfinite(rss), rss, math.inf)
-        idx = int(np.argmin(rss))
-        if rss[idx] < best_rss:
-            best_rss, best = float(rss[idx]), candidates[idx].copy()
-    return best
+    candidates = shape_draws(model, series, cfg)
+    points = profiled_points(series)
+    t, y = np.array(points.times), np.array(points.cumulative)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        shapes = _KERNELS[ModelId(model)](candidates, t)
+        candidates[:, 0] = np.clip((shapes @ y) / np.einsum("ij,ij->i", shapes, shapes), lo[0], hi[0])
+        r = candidates[:, :1] * shapes - y
+        rss = np.einsum("ij,ij->i", r, r)
+    rss = np.where(np.isfinite(rss), rss, math.inf)
+    idx = int(np.argmin(rss))
+    return candidates[idx] if math.isfinite(rss[idx]) else None
 
 
 def tied_case():
-    """417 failures at one time: DU's first chunk at seed 1952 holds a draw
-    whose screen RSS and envelope are finite but overflow when added."""
+    """417 failures at one time."""
     series = FailureSeries(times=[math.exp(0.5)] * 417, horizon=math.exp(0.5))
     return series, FitConfig(search_budget=50, rng_seed=1952)
 
 
 @st.composite
 def search_cases(draw):
-    """Short series at budgets around the chunk size, or long ones at
-    budgets where the screen's envelope bound decides which draws are
-    scored in full."""
+    """Short series at budgets around the chunk size, or long ones, on which
+    the search scores a subset of the points, at budgets of a few hundred."""
     long = draw(st.booleans())
-    n = draw(st.integers(9, 3000) if long else st.integers(2, 400))
+    n = draw(st.integers(257, 3000) if long else st.integers(2, 400))
     low = draw(st.floats(-4.0, 2.0))
     high = low + draw(st.floats(0.0, 6.0))
     log_t = np.sort(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(low, high, n))
@@ -156,16 +165,14 @@ def search_cases(draw):
 
 
 def geometric_case(n):
-    """n points and two chunks of draws, so the one-point stage runs on the
-    second; for n <= 8 the 8 screen points are all of them."""
+    """n points, geometrically spaced, and two chunks of draws."""
     times = np.geomspace(0.5, 40.0, n)
     return FailureSeries(times=times, horizon=40.0), FitConfig(search_budget=5000, rng_seed=n)
 
 
 def zigzag_case():
-    """Early counts alternate between 0 and 100, which no model follows, so
-    the best RSS stays large and many draws pass the one-point stage on the
-    last count of 30; the 8-point screen and the full scoring decide."""
+    """Early counts alternate between 0 and 100, which no model follows,
+    and the last count is 30."""
     times = np.geomspace(0.5, 40.0, 60)
     counts = np.where(np.arange(60) % 2 == 0, 0.0, 100.0)
     counts[-1] = 30.0
@@ -176,9 +183,8 @@ def zigzag_case():
 
 
 def step_case():
-    """Counts of 0 up to a last count of 10: the best draws stay low and owe
-    most of their RSS to the last point, so a one-point bound much tighter
-    than the best RSS would drop the winner of a later chunk."""
+    """Counts of 0 up to a last count of 10, which the best draws owe most
+    of their RSS to."""
     times = np.geomspace(0.5, 40.0, 60)
     counts = np.zeros(60)
     counts[-1] = 10.0
@@ -197,8 +203,8 @@ def concave_case(n=8000):
 
 
 def overflow_case():
-    """Three points up to t = 100 and one draw: DU's draw at seed 21 has
-    finite residuals whose squares overflow, so no draw has a finite RSS."""
+    """Three points up to t = 100 and one draw, on which DU's shape
+    t^β is large."""
     series = FailureSeries(times=[1.0, 50.0, 100.0], horizon=100.0)
     return series, FitConfig(search_budget=1, rng_seed=21)
 
@@ -217,8 +223,8 @@ def overflow_case():
 @example(case=tied_case())
 @example(case=concave_case())
 def test_initial_search_equals_brute_force(model, case):
-    """Screening draws on the last point, then on a bound from a few points,
-    never changes the chosen draw, nor whether there is one."""
+    """Scoring the draws chunk by chunk never changes the chosen draw, nor
+    whether there is one."""
     series, cfg = case
     if series.n < descriptor(model).k + 1:
         with pytest.raises(InsufficientDataError):
@@ -232,30 +238,20 @@ def test_initial_search_equals_brute_force(model, case):
         assert np.array_equal(initial_search(model, series, cfg), expected)
 
 
-def profiled_points(series):
-    """The series at the at most 256 evenly spread points, rounded, that
-    the profiled search scores its draws on."""
-    idx = np.unique(np.round(np.linspace(0, series.n - 1, 256))).astype(int)
-    counts = np.array(series.cumulative)[idx]
-    return FailureSeries(times=np.array(series.times)[idx], horizon=series.horizon, counts=counts)
-
-
 def brute_profiled_draws(model, series, cfg):
-    """Reference profiled search: the same 256 shape draws, each given its
-    clipped least-squares scale and scored one at a time on the points of
-    ``profiled_points``.  Returns the draws with their scales and their
-    RSS, NaN where not finite."""
+    """Reference profiled search: the search's draws, each given its clipped
+    least-squares scale and scored one at a time by the model's mean value
+    on the points of ``profiled_points``.  Returns the draws with their
+    scales and their RSS, NaN where not finite."""
     lo, hi = search_bounds(model, series.n)
-    rng = np.random.default_rng([cfg.rng_seed, MODEL_ORDER.index(ModelId(model))])
-    shapes = np.exp(np.log(lo[1:]) + rng.random((256, lo.size - 1)) * np.log(hi[1:] / lo[1:]))
     kernel = _KERNELS[ModelId(model)]
     points = profiled_points(series)
     t, y = np.array(points.times), np.array(points.cumulative)
     params, rss = [], []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for theta in shapes:
-            g = kernel(np.concatenate([[1.0], theta]), t)
-            p = np.concatenate([[np.clip(np.dot(g, y) / np.dot(g, g), lo[0], hi[0])], theta])
+        for p in shape_draws(model, series, cfg):
+            g = kernel(p, t)
+            p[0] = np.clip(np.dot(g, y) / np.dot(g, g), lo[0], hi[0])
             r = kernel(p, t) - y
             params.append(p)
             rss.append(float(np.dot(r, r)))
@@ -273,96 +269,47 @@ def brute_profiled_draws(model, series, cfg):
 @example(case=overflow_case())
 @example(case=concave_case())
 def test_profiled_search_equals_brute_force(model, case):
-    """The profiled search, at any budget, keeps one of its 256 shape draws
-    with that draw's clipped least-squares scale, and no draw scores lower
-    on the profiled points, nor an earlier one as low, beyond the rounding
-    of a sum."""
+    """``initial_search`` at 256 and 500 draws keeps one of its draws with
+    that draw's clipped least-squares scale, and no draw scores lower on
+    the searched points, nor an earlier one as low, beyond the rounding of
+    a sum."""
     series, cfg = case
     if series.n < descriptor(model).k + 1:
         return
-    params, rss = brute_profiled_draws(model, series, cfg)
-    found = fitting._profiled_search(ModelId(model), series, cfg)
-    if np.isnan(rss).all():
-        assert found is None
-        return
-    chosen = int(np.flatnonzero((params[:, 1:] == found[1:]).all(axis=1))[0])
-    assert_allclose(found[0], params[chosen, 0], rtol=1e-12)
-    found_rss = rss_of(model, found, profiled_points(series))
-    assert found_rss <= np.nanmin(rss) * (1.0 + 1e-12)
-    assert not np.any(rss[:chosen] < found_rss * (1.0 - 1e-12))
+    for budget in (256, 500):
+        cfg = FitConfig(search_budget=budget, rng_seed=cfg.rng_seed)
+        params, rss = brute_profiled_draws(model, series, cfg)
+        if np.isnan(rss).all():
+            with pytest.raises(NumericError):
+                initial_search(model, series, cfg)
+            continue
+        found = initial_search(model, series, cfg)
+        chosen = int(np.flatnonzero((params[:, 1:] == found[1:]).all(axis=1))[0])
+        assert_allclose(found[0], params[chosen, 0], rtol=1e-12)
+        found_rss = rss_of(model, found, profiled_points(series))
+        assert found_rss <= np.nanmin(rss) * (1.0 + 1e-12)
+        assert not np.any(rss[:chosen] < found_rss * (1.0 - 1e-12))
 
 
-@pytest.mark.parametrize("model", MODEL_ORDER)
-def test_search_past_the_profiled_budget_is_the_screened_search(model):
-    """Budget and series size pick no start: one draw short of 256·n and at
-    256·n alike, fit_one is the fit from the profiled start, bit for bit,
-    where that fit is converged and interior, and never worse elsewhere
-    (YE here ends on a bound); at 256·n, initial_search is still the
-    screened search."""
-    series = noisy_series(ModelId.GO, (300.0, 0.04), seed=2, n=20)
-    for budget in (256 * series.n - 1, 256 * series.n):
-        cfg = FitConfig(search_budget=budget, rng_seed=3)
-        profiled = refine(model, series, fitting._profiled_search(ModelId(model), series, cfg))
-        fit = fit_one(model, series, cfg)
-        if profiled.converged and not fitting._on_bound(profiled, series.n):
-            assert fit == profiled
-        else:
-            assert fit.rss <= profiled.rss
-    assert np.array_equal(initial_search(model, series, cfg), brute_search(model, series, cfg))
+def scaled_kernel(monkeypatch, model, scale):
+    """Patch ``model``'s kernel so that it returns its mean values times
+    ``scale``, and record the shapes of its calls."""
+    kernel = _KERNELS[model]
+    calls = []
 
+    def patched(p, times, jac=False):
+        calls.append((np.shape(p), times.size))
+        return kernel(p, times, jac=jac) * scale
 
-def test_on_bound_sees_each_parameter_on_its_floor_or_its_cap():
-    n = 30
-    lo, hi = search_bounds(ModelId.HD, n)
-    floor = np.nextafter(lo, np.inf)
-    inside = (200.0, 0.04, 0.5)
-    fit = fitting._failure_result(ModelId.HD)._replace(params=inside)
-    assert not fitting._on_bound(fit, n)
-    for j in range(3):
-        for edge in (floor[j], hi[j]):
-            params = list(inside)
-            params[j] = float(edge)
-            assert fitting._on_bound(fit._replace(params=tuple(params)), n)
-
-
-def test_profiled_fit_on_a_bound_ends_no_higher_than_the_screened_fit():
-    """YE on GO data ends on a bound from its profiled start, at a higher
-    RSS than from the screened start; fit_one refines both and keeps the
-    lower."""
-    series = noisy_series(ModelId.GO, (300.0, 0.04), seed=1, n=30)
-    cfg = FitConfig(search_budget=256 * series.n, rng_seed=0)
-    profiled = refine(ModelId.YE, series, fitting._profiled_search(ModelId.YE, series, cfg))
-    screened = refine(ModelId.YE, series, initial_search(ModelId.YE, series, cfg))
-    assert fitting._on_bound(profiled, series.n)
-    fit = fit_one(ModelId.YE, series, cfg)
-    assert fit.rss <= screened.rss < profiled.rss
-
-
-def test_fit_without_a_profiled_start_refines_the_screened_start_once(monkeypatch):
-    """With no profiled start, YE's fit on GO data ends on a bound, and the
-    screened search and its refine still run once each."""
-    series = noisy_series(ModelId.GO, (300.0, 0.04), seed=1, n=30)
-    cfg = FitConfig(search_budget=256 * series.n, rng_seed=0)
-    monkeypatch.setattr(fitting, "_profiled_search", lambda mid, series, cfg: None)
-    calls = {"initial_search": 0, "refine": 0}
-    for name in calls:
-        original = getattr(fitting, name)
-
-        def counting(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(fitting, name, counting)
-    fit = fit_one(ModelId.YE, series, cfg)
-    assert fitting._on_bound(fit, series.n)
-    assert calls == {"initial_search": 1, "refine": 1}
+    monkeypatch.setitem(fitting._KERNELS, model, patched)
+    return calls
 
 
 def test_fit_all_writes_a_placeholder_when_no_draw_has_a_finite_rss(monkeypatch):
-    """DU's one screened draw on the overflow case has no finite RSS, so
-    with no profiled start either the fit is a placeholder."""
+    """A DU kernel that is NaN everywhere gives no draw a finite RSS, so the
+    fit is a placeholder."""
     series, cfg = overflow_case()
-    monkeypatch.setattr(fitting, "_profiled_search", lambda mid, series, cfg: None)
+    scaled_kernel(monkeypatch, ModelId.DU, math.nan)
     (result,) = fit_all(series, models=("DU",), cfg=cfg)
     assert result.model is ModelId.DU
     assert math.isnan(result.rss) and all(math.isnan(p) for p in result.params)
@@ -370,151 +317,50 @@ def test_fit_all_writes_a_placeholder_when_no_draw_has_a_finite_rss(monkeypatch)
 
 
 def test_fit_from_an_overflowing_draw_warns_nothing(monkeypatch):
-    """DU's profiled draws give the overflow case a finite fit; without
-    them it gets the placeholder.  Neither way warns."""
+    """DU's draw gives the overflow case a finite fit; with a kernel whose
+    squared values overflow for every draw it gets the placeholder.
+    Neither way warns."""
     series, cfg = overflow_case()
-    with warnings.catch_warnings(), np.errstate(over="warn"):
+    with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"):
         warnings.simplefilter("error")
-        (profiled,) = fit_all(series, models=("DU",), cfg=cfg)
-        monkeypatch.setattr(fitting, "_profiled_search", lambda mid, series, cfg: None)
+        (fit,) = fit_all(series, models=("DU",), cfg=cfg)
+        scaled_kernel(monkeypatch, ModelId.DU, 1e300)
         (placeholder,) = fit_all(series, models=("DU",), cfg=cfg)
-    assert math.isfinite(profiled.rss) and profiled.iterations_used > 0
+    assert math.isfinite(fit.rss) and fit.iterations_used > 0
     assert math.isnan(placeholder.rss) and placeholder.iterations_used == 0
 
 
 def test_search_chunks_stay_under_the_element_cap(monkeypatch):
+    """5000 draws on a 20 000-point series: the search scores them 4096 at
+    a time on 256 points, so no kernel call exceeds 2^20 draw-points, and
+    picks the draw that scoring all of them at once picks."""
     t = np.linspace(0.05, 1000.0, 20_000)
     series = FailureSeries(times=t, horizon=1000.0, label="long")
-    cfg = FitConfig(search_budget=300, rng_seed=4)
+    cfg = FitConfig(search_budget=5000, rng_seed=4)
     expected = brute_search(ModelId.WE, series, cfg)
-    kernel = fitting._KERNELS[ModelId.WE]
-    sizes = []
-
-    def recording(candidates, times, jac=False):
-        sizes.append(candidates.shape[0] * times.size)
-        return kernel(candidates, times, jac=jac)
-
-    monkeypatch.setitem(fitting._KERNELS, ModelId.WE, recording)
+    calls = scaled_kernel(monkeypatch, ModelId.WE, 1.0)
     start = initial_search(ModelId.WE, series, cfg)
-    assert sizes and max(sizes) <= fitting._SEARCH_ELEMENTS
+    assert calls == [((4096, 3), 256), ((904, 3), 256)]
     assert np.array_equal(start, expected)
-
-
-def test_one_point_stage_thins_the_8_point_screen(monkeypatch):
-    """The first chunk holds 512 draws and goes through the 8-point screen
-    whole; each later chunk holds twice as many as the one before, up to
-    the cap, and its draws that miss the last count by more than the best
-    RSS so far never reach the 8-point screen."""
-    series = synthetic_series(ModelId.GO, (300.0, 0.04), n=400)
-    cap = fitting._SEARCH_ELEMENTS // series.n  # 2621, under the 4096 cap
-    cfg = FitConfig(search_budget=3 * cap, rng_seed=8)
-    expected = brute_search(ModelId.GO, series, cfg)
-    kernel = fitting._KERNELS[ModelId.GO]
-    drawn = []  # the one-point stage sees every draw of a chunk after the first
-    screened = []
-
-    def recording(candidates, times, jac=False):
-        if times.size == 1:
-            drawn.append(candidates.shape[0])
-        if times.size == fitting._SCREEN_POINTS:
-            screened.append(candidates.shape[0])
-        return kernel(candidates, times, jac=jac)
-
-    monkeypatch.setitem(fitting._KERNELS, ModelId.GO, recording)
-    start = initial_search(ModelId.GO, series, cfg)
-    assert screened[0] == 512
-    assert drawn == [1024, 2048, cap, 3 * cap - 512 - 1024 - 2048 - cap]
-    assert len(screened) == 1 + len(drawn)
-    assert all(rows < size for rows, size in zip(screened[1:], drawn))
-    assert np.array_equal(start, expected)
-
-
-@st.composite
-def bound_cases(draw):
-    """A model, 200 draws from its search box with its corners, and a
-    series of sorted times up to 1e5 days with implicit counts or explicit
-    ones that rise and fall."""
-    model = draw(st.sampled_from(MODEL_ORDER))
-    n = draw(st.integers(2, 3000))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lo, hi = search_bounds(model, n)
-    corners = np.array(list(itertools.product(*zip(lo, hi))))
-    draws = np.exp(np.log(lo) + rng.random((200, lo.size)) * np.log(hi / lo))
-    horizon = draw(st.floats(1e-3, 1e5))
-    times = np.sort(horizon * (1.0 - rng.random(n)))
-    counts = None
-    if draw(st.booleans()):
-        drift = draw(st.floats(-1.0, 3.0))
-        counts = draw(st.floats(0.01, 100.0)) * np.cumsum(rng.normal(drift, 1.0, n))
-    series = FailureSeries(times=times, horizon=horizon, counts=counts)
-    return model, np.vstack([corners, draws]), series
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=bound_cases())
-def test_screen_bound_never_exceeds_the_full_rss(case):
-    model, candidates, series = case
-    kernel = _KERNELS[model]
-    t, y = np.array(series.times), np.array(series.cumulative)
-    screen = fitting._screen_points(t, y)
-    partial = fitting._rss(kernel, candidates, screen.t, screen.y)
-    bound = partial + fitting._envelope(candidates, kernel(candidates, screen.t), screen)
-    full = fitting._rss(kernel, candidates, t, y)
-    finite = np.isfinite(full)
-    assert np.all(bound[finite] <= full[finite] * screen.slack)
-
-
-def test_screen_points_are_eight_evenly_spread_indices_rounded():
-    for n in [*range(1, 400), *range(400, 10_000, 97)]:
-        t = np.arange(1.0, n + 1.0)
-        spread = np.unique(np.round(np.linspace(0, n - 1, fitting._SCREEN_POINTS)).astype(np.intp))
-        assert np.array_equal(fitting._screen_points(t, t).t, t[spread])
-
-
-def test_envelope_bound_scores_few_long_series_draws_in_full(monkeypatch):
-    """On a long concave series most draws' envelope bound exceeds the
-    best full RSS, so few reach the full scoring."""
-    series, cfg = concave_case()
-    scored = []
-    for model in MODEL_ORDER:
-        kernel = _KERNELS[model]
-
-        def recording(candidates, times, jac=False, kernel=kernel):
-            if times.size == series.n:
-                scored.append(candidates.shape[0])
-            return kernel(candidates, times, jac=jac)
-
-        monkeypatch.setitem(fitting._KERNELS, model, recording)
-        initial_search(model, series, cfg)
-    assert sum(scored) < 0.1 * cfg.search_budget * len(MODEL_ORDER)
 
 
 def test_search_scores_no_draw_in_full_twice(monkeypatch):
-    """The screen scores its lead draw in full to tighten its cut; that RSS
-    is the lead's score, so the full-length rows are all distinct draws."""
+    """Each search evaluates the kernel once, on every draw at once at no
+    more than 256 points, and scores each draw from those shapes."""
     series, cfg = concave_case()
-    rows = []
     for model in MODEL_ORDER:
-        kernel = _KERNELS[model]
-
-        def recording(candidates, times, jac=False, kernel=kernel):
-            if times.size == series.n:
-                rows.extend(map(bytes, np.ascontiguousarray(candidates)))
-            return kernel(candidates, times, jac=jac)
-
-        monkeypatch.setitem(fitting._KERNELS, model, recording)
+        calls = scaled_kernel(monkeypatch, model, 1.0)
         initial_search(model, series, cfg)
-    assert rows and len(set(rows)) == len(rows)
+        assert calls == [((cfg.search_budget, descriptor(model).k), 256)]
 
 
 @pytest.mark.parametrize("case", [overflow_case(), concave_case()], ids=["overflow", "concave"])
 def test_initial_search_warns_nothing(case):
-    """No warning, also where the search finds no finite RSS (DU on the
-    overflow case) and raises instead."""
+    """No warning, also where the search finds no finite RSS and raises
+    instead."""
     series, cfg = case
     models = [m for m in MODEL_ORDER if series.n > descriptor(m).k]
-    with np.errstate(over="ignore"):
-        found = {m: brute_search(m, series, cfg) is not None for m in models}
+    found = {m: brute_search(m, series, cfg) is not None for m in models}
     with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"):
         warnings.simplefilter("error")
         for model in models:
@@ -758,7 +604,7 @@ def test_fit_one_equals_search_plus_refine():
     series = synthetic_series(ModelId.GOS, (250.0, 0.07))
     cfg = FitConfig(search_budget=3000, rng_seed=17)
     combined = fit_one(ModelId.GOS, series, cfg)
-    start = fitting._profiled_search(ModelId.GOS, series, cfg)
+    start = initial_search(ModelId.GOS, series, cfg)
     split = refine(ModelId.GOS, series, start)
     assert combined.params == split.params
     assert combined.rss == split.rss
@@ -819,16 +665,32 @@ def test_failure_placeholder_shape():
     assert math.isnan(res.rss)
 
 
-def test_unconverged_profiled_fit_is_refined_from_the_screened_start_too(monkeypatch):
-    """With refine capped at 3 iterations, WE's profiled fit stops inside
-    the box, unconverged, far above the fit from the screened start."""
-    monkeypatch.setattr(fitting, "REFINE_MAX_ITERATIONS", 3)
-    series = noisy_series(ModelId.GO, (300.0, 0.04), seed=4, n=30)
-    cfg = FitConfig(search_budget=256 * series.n, rng_seed=0)
-    profiled = refine(ModelId.WE, series, fitting._profiled_search(ModelId.WE, series, cfg))
-    screened = refine(ModelId.WE, series, initial_search(ModelId.WE, series, cfg))
-    assert not profiled.converged and not fitting._on_bound(profiled, series.n)
-    assert fit_one(ModelId.WE, series, cfg).rss == screened.rss < profiled.rss
+def test_ye_fit_refines_its_two_go_limits_and_searches_only_for_go(monkeypatch):
+    """YE on GO data: fit_one runs GO's search and GO's refine, then refines
+    YE from (A, c_max, B/c_max) and (a_max, A/a_max, B) for GO's fit (A, B),
+    and keeps the lower RSS."""
+    series = noisy_series(ModelId.GO, (300.0, 0.04), seed=1, n=30)
+    cfg = FitConfig(rng_seed=0)
+    a, b = fit_one(ModelId.GO, series, cfg).params
+    hi = search_bounds(ModelId.YE, series.n)[1]
+    limits = [refine(ModelId.YE, series, start) for start in ((a, hi[1], b / hi[1]), (hi[0], a / hi[0], b))]
+    calls = []
+    for name in ("initial_search", "refine"):
+        original = getattr(fitting, name)
+
+        def counting(model, *args, name=name, original=original):
+            calls.append((name, ModelId(model)))
+            return original(model, *args)
+
+        monkeypatch.setattr(fitting, name, counting)
+    fit = fit_one(ModelId.YE, series, cfg)
+    assert calls == [
+        ("initial_search", ModelId.GO),
+        ("refine", ModelId.GO),
+        ("refine", ModelId.YE),
+        ("refine", ModelId.YE),
+    ]
+    assert fit == min(limits, key=lambda f: f.rss)
 
 
 @settings(max_examples=300, deadline=None)

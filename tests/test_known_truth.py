@@ -6,7 +6,7 @@
 import numpy as np
 import pytest
 
-from srgrowth.fitting import FitConfig, fit_one
+from srgrowth.fitting import FitConfig, fit_one, refine
 from srgrowth.models import ModelId, mean_value, search_bounds
 from srgrowth.series import FailureSeries
 
@@ -79,3 +79,25 @@ def test_we_is_no_worse_than_the_go_it_nests(model, shape, n, seed):
     go = fit_one(ModelId.GO, series, cfg)
     we = fit_one(ModelId.WE, series, cfg)
     assert we.rss <= go.rss * (1.0 + 1e-9)
+
+
+# (truth model, shape): YE nests GO in two limits, so on data that GO or
+# WE generated its fit should reach the better of them
+YE_LIMIT_CASES = [(ModelId.GO, (0.003,)), (ModelId.WE, (0.002, 1.3))]
+
+
+@pytest.mark.parametrize("n", [300, 1500, 4000])
+@pytest.mark.parametrize(
+    "model, shape", YE_LIMIT_CASES, ids=[f"{m.value}-{','.join(map(str, s))}" for m, s in YE_LIMIT_CASES]
+)
+def test_ye_is_no_worse_than_its_go_limits(model, shape, n):
+    """YE is GO(A, B) as β → 0 with c·β = B and as c → 0 with a·c = A, so
+    its fit is no worse than refine from either limit of GO's fit, each
+    with a parameter on its upper bound."""
+    _, series = sample_known_truth(model, shape, n, SAMPLING_SEED)
+    cfg = FitConfig()
+    a, b = fit_one(ModelId.GO, series, cfg).params
+    hi = search_bounds(ModelId.YE, series.n)[1]
+    limits = [(a, hi[1], b / hi[1]), (hi[0], a / hi[0], b)]
+    best = min(refine(ModelId.YE, series, start).rss for start in limits)
+    assert fit_one(ModelId.YE, series, cfg).rss <= best * (1.0 + 1e-9)
