@@ -36,7 +36,6 @@ _EXPORTS = {
         "aic",
         "bic",
         "fit_all",
-        "fit_one",
         "initial_search",
         "r_squared",
         "refine",

@@ -400,7 +400,7 @@ def cmd_trend(args) -> int:
 def _parse_models(raw: str | None) -> list[ModelId]:
     from .records import MODEL_ORDER, ModelId
 
-    if not raw:
+    if raw is None:
         return list(MODEL_ORDER)
     models = []
     for part in raw.split(","):

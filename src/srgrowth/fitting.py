@@ -14,10 +14,10 @@ and the kernel called with a = 1 returns the shape g.  ``initial_search``
 draws ``search_budget`` shapes θ, gives each the least-squares scale
 <g, y>/<g, g> clipped to the scale's bounds (variable projection, Golub &
 Pereyra 1973), scores all of them on at most 256 evenly spread points and
-keeps the first of least RSS.  ``fit_one`` alone decides which starts are
-refined: one, the search's, for every model but YE.  YE reaches GO in two
-limits on different bounds, so it runs no search of its own; it refines
-both limits of GO's fit and keeps the lower RSS.
+keeps the first of least RSS.  ``fit_all``, the one fit driver, refines
+that start for every model but YE.  YE reaches GO in two limits on
+different bounds, so it runs no search of its own; it refines both limits
+of the batch's GO fit and keeps the lower RSS.
 
 Goodness of fit is summarised four ways per fit:
 
@@ -140,14 +140,15 @@ def _model_rng(cfg: FitConfig, model: ModelId) -> np.random.Generator:
     return np.random.default_rng([seed, MODEL_ORDER.index(model)])
 
 
-def _spread(n: int, count: int) -> np.ndarray:
-    """``count`` evenly spread indices into n points, rounded, without
-    repeats: the first and the last always, and every index when n <= count.
-    Index i is i·last/gaps rounded: ``count`` is even, so gaps is odd, no
-    quotient ends in a half, and rounding half up picks what np.round would.
-    A set dedupes them, as np.unique would load numpy.ma."""
-    last, gaps = n - 1, count - 1
-    return np.array(sorted({(2 * i * last + gaps) // (2 * gaps) for i in range(count)}))
+def _spread(n: int) -> np.ndarray:
+    """``_PROFILE_POINTS`` evenly spread indices into n points, rounded,
+    without repeats: the first and the last always, and every index when
+    n <= ``_PROFILE_POINTS``.  Index i is i·last/gaps rounded:
+    ``_PROFILE_POINTS`` is even, so gaps is odd, no quotient ends in a half,
+    and rounding half up picks what np.round would.  A set dedupes them, as
+    np.unique would load numpy.ma."""
+    last, gaps = n - 1, _PROFILE_POINTS - 1
+    return np.array(sorted({(2 * i * last + gaps) // (2 * gaps) for i in range(_PROFILE_POINTS)}))
 
 
 def _log_uniform(rng: np.random.Generator, lo, hi, count: int) -> np.ndarray:
@@ -172,7 +173,7 @@ def initial_search(model: ModelId | str, series: FailureSeries, cfg: FitConfig) 
     mid = ModelId(model)
     _require_enough_points(mid, series)
     lo, hi = search_bounds(mid, series.n)
-    points = _spread(series.n, _PROFILE_POINTS)
+    points = _spread(series.n)
     cumulative = series.cumulative
     t = np.array([series.times[i] for i in points])
     y = np.array([cumulative[i] for i in points])
@@ -338,46 +339,41 @@ def _failure_result(model: ModelId) -> FitResult:
     )
 
 
-def fit_one(model: ModelId | str, series: FailureSeries, cfg: FitConfig) -> FitResult:
-    """The fit refined from ``initial_search``'s start; for YE, the better of
-    the fits refined from its two GO limits.
-
-    YE is GO(A, B) as β → 0 with c·β = B, and as c → 0 with a·c = A, so
-    from GO's fit (A, B) on the same series it refines (A, c_max, B/c_max)
-    and (a_max, A/a_max, B), with c or a on its upper bound, and keeps the
-    lower RSS, the first on a tie.  YE runs no search of its own.
-    """
-    mid = ModelId(model)
-    _require_enough_points(mid, series)
-    if mid is not ModelId.YE:
-        return refine(mid, series, initial_search(mid, series, cfg))
-    a, b = fit_one(ModelId.GO, series, cfg).params
-    hi = search_bounds(mid, series.n)[1]
-    fits = [refine(mid, series, start) for start in ((a, hi[1], b / hi[1]), (hi[0], a / hi[0], b))]
-    return min(fits, key=lambda fit: fit.rss)
-
-
 def fit_all(
     series: FailureSeries,
     models=MODEL_ORDER,
     cfg: FitConfig = FitConfig(),
 ) -> list[FitResult]:
-    """Fit every requested model to one series.
+    """Fit every requested model to one series, each once.
 
-    Results come back in the canonical model order.  A model whose fit
-    fails outright (for example too few points for its parameter count)
-    yields a placeholder result with ``converged=False`` and NaN scores;
-    the batch itself never aborts.
+    Results come back in the canonical model order.  Every model but YE is
+    refined from ``initial_search``'s start.  YE is GO(A, B) as β → 0 with
+    c·β = B, and as c → 0 with a·c = A, so from the batch's GO fit (A, B)
+    it refines (A, c_max, B/c_max) and (a_max, A/a_max, B), with c or a on
+    its upper bound, and keeps the lower RSS, the first on a tie; GO, which
+    comes first in that order, is fitted whenever YE is requested.
+
+    A model whose fit fails outright (for example too few points for its
+    parameter count, or YE after a GO placeholder, whose NaN start
+    ``refine`` refuses) yields a placeholder result with
+    ``converged=False`` and NaN scores; the batch itself never aborts.
     """
     requested = {ModelId(m) for m in models}
     if not requested:
         raise ValueError("no models requested")
-    ordered = [m for m in MODEL_ORDER if m in requested]
-
-    def one(mid: ModelId) -> FitResult:
+    needed = requested | {ModelId.GO} if ModelId.YE in requested else requested
+    fits = {}
+    for mid in MODEL_ORDER:
+        if mid not in needed:
+            continue
         try:
-            return fit_one(mid, series, cfg)
+            if mid is ModelId.YE:
+                a, b = fits[ModelId.GO].params
+                hi = search_bounds(mid, series.n)[1]
+                limits = ((a, hi[1], b / hi[1]), (hi[0], a / hi[0], b))
+                fits[mid] = min((refine(mid, series, start) for start in limits), key=lambda fit: fit.rss)
+            else:
+                fits[mid] = refine(mid, series, initial_search(mid, series, cfg))
         except SrgrowthError:
-            return _failure_result(mid)
-
-    return [one(m) for m in ordered]
+            fits[mid] = _failure_result(mid)
+    return [fits[m] for m in MODEL_ORDER if m in requested]

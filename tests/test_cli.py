@@ -259,6 +259,14 @@ def test_fit_unknown_model_exits_two(tmp_path, two_projects):
     ]) == 2
 
 
+@pytest.mark.parametrize("models", ["", ","])
+def test_fit_empty_model_list_exits_two(tmp_path, two_projects, capsys, models):
+    out = tmp_path / "fit"
+    assert main(["fit", "--issues", str(two_projects[0]), "--models", models, "--out", str(out)]) == 2
+    assert "empty model list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_reruns_byte_identical(tmp_path, two_projects):
     a, b = two_projects
     out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -16,7 +16,6 @@ from srgrowth.fitting import (
     FitConfig,
     FitResult,
     fit_all,
-    fit_one,
     initial_search,
     refine,
 )
@@ -316,6 +315,17 @@ def test_fit_all_writes_a_placeholder_when_no_draw_has_a_finite_rss(monkeypatch)
     assert not result.converged and result.iterations_used == 0
 
 
+@pytest.mark.parametrize("models", [("GO", "YE"), ("YE",)])
+def test_a_go_placeholder_gives_a_ye_placeholder(monkeypatch, models):
+    """YE's starts come from the batch's GO fit, so when GO's kernel is NaN
+    everywhere YE is a placeholder too, whether GO is requested or not."""
+    series = synthetic_series(ModelId.GO, (300.0, 0.05), n=30, horizon=100.0)
+    scaled_kernel(monkeypatch, ModelId.GO, math.nan)
+    fits = fit_all(series, models, FitConfig(search_budget=50))
+    assert [fit.model for fit in fits] == [ModelId(m) for m in models]
+    assert all(math.isnan(fit.rss) and fit.iterations_used == 0 for fit in fits)
+
+
 def test_fit_from_an_overflowing_draw_warns_nothing(monkeypatch):
     """DU's draw gives the overflow case a finite fit; with a kernel whose
     squared values overflow for every draw it gets the placeholder.
@@ -571,7 +581,7 @@ def test_refine_matches_scipy_trf_from_a_bound(model, truth, start, seed):
 
 def test_refine_result_fields_are_consistent():
     series = synthetic_series(ModelId.MO, (90.0, 0.25))
-    result = fit_one(ModelId.MO, series, FitConfig(search_budget=2000))
+    result = fit_all(series, [ModelId.MO], FitConfig(search_budget=2000))[0]
     assert result.model is ModelId.MO
     assert len(result.params) == 2
     # the stored rss matches a recomputation from the stored params
@@ -593,17 +603,17 @@ def test_quick_parameter_recovery_two_parameter_models():
     cfg = FitConfig(search_budget=2000, rng_seed=42)
     for model, truth in cases.items():
         series = synthetic_series(model, truth, n=200, horizon=200.0)
-        result = fit_one(model, series, cfg)
+        result = fit_all(series, [model], cfg)[0]
         assert result.converged, model
         rel = np.abs(np.array(result.params) - np.array(truth)) / np.array(truth)
         assert np.max(rel) < 1e-3, f"{model}: {result.params} vs {truth}"
         assert result.gof.r2 > 0.9999
 
 
-def test_fit_one_equals_search_plus_refine():
+def test_fit_all_equals_search_plus_refine():
     series = synthetic_series(ModelId.GOS, (250.0, 0.07))
     cfg = FitConfig(search_budget=3000, rng_seed=17)
-    combined = fit_one(ModelId.GOS, series, cfg)
+    combined = fit_all(series, [ModelId.GOS], cfg)[0]
     start = initial_search(ModelId.GOS, series, cfg)
     split = refine(ModelId.GOS, series, start)
     assert combined.params == split.params
@@ -618,16 +628,16 @@ def test_fit_all_canonical_order_and_subset():
     assert [r.model for r in results] == [ModelId.GO, ModelId.MO, ModelId.LL]
 
 
-def test_fit_all_subset_matches_fit_one():
+@pytest.mark.parametrize("model", MODEL_ORDER, ids=[m.value for m in MODEL_ORDER])
+def test_fit_all_single_model_matches_its_batch_row(model):
     """Per-model seeding makes a model's fit identical whether it runs
-    alone or inside a batch."""
+    alone or inside a batch; YE alone still refines the limits of the GO
+    fit that the batch holds."""
     series = synthetic_series(ModelId.GO, (300.0, 0.05), n=80, horizon=120.0)
     cfg = FitConfig(search_budget=1500, rng_seed=7)
-    solo = fit_one(ModelId.WE, series, cfg)
-    batch = fit_all(series, cfg=cfg)
-    batch_we = next(r for r in batch if r.model is ModelId.WE)
-    assert solo.params == batch_we.params
-    assert solo.rss == batch_we.rss
+    (solo,) = fit_all(series, [model], cfg)
+    batch_row = next(r for r in fit_all(series, cfg=cfg) if r.model is model)
+    assert solo == batch_row
 
 
 def test_fit_all_short_series_yields_placeholder_not_crash():
@@ -646,13 +656,6 @@ def test_fit_all_short_series_yields_placeholder_not_crash():
             assert math.isfinite(result.rss)
 
 
-def test_fit_one_too_few_points_raises():
-    t = np.array([1.0, 2.0])
-    series = FailureSeries(times=t, horizon=2.0, label="tiny")
-    with pytest.raises(InsufficientDataError):
-        fit_one(ModelId.GO, series, FitConfig(search_budget=10))
-
-
 def test_failure_placeholder_shape():
     t = np.array([1.0, 2.0, 3.0])
     series = FailureSeries(times=t, horizon=3.0, label="tiny")
@@ -666,12 +669,13 @@ def test_failure_placeholder_shape():
 
 
 def test_ye_fit_refines_its_two_go_limits_and_searches_only_for_go(monkeypatch):
-    """YE on GO data: fit_one runs GO's search and GO's refine, then refines
-    YE from (A, c_max, B/c_max) and (a_max, A/a_max, B) for GO's fit (A, B),
-    and keeps the lower RSS."""
+    """YE on GO data: fit_all runs GO's search and GO's refine once, then
+    refines YE from (A, c_max, B/c_max) and (a_max, A/a_max, B) for GO's
+    fit (A, B), and keeps the lower RSS, whether GO is requested or not."""
     series = noisy_series(ModelId.GO, (300.0, 0.04), seed=1, n=30)
     cfg = FitConfig(rng_seed=0)
-    a, b = fit_one(ModelId.GO, series, cfg).params
+    (go,) = fit_all(series, [ModelId.GO], cfg)
+    a, b = go.params
     hi = search_bounds(ModelId.YE, series.n)[1]
     limits = [refine(ModelId.YE, series, start) for start in ((a, hi[1], b / hi[1]), (hi[0], a / hi[0], b))]
     calls = []
@@ -683,23 +687,27 @@ def test_ye_fit_refines_its_two_go_limits_and_searches_only_for_go(monkeypatch):
             return original(model, *args)
 
         monkeypatch.setattr(fitting, name, counting)
-    fit = fit_one(ModelId.YE, series, cfg)
-    assert calls == [
-        ("initial_search", ModelId.GO),
-        ("refine", ModelId.GO),
-        ("refine", ModelId.YE),
-        ("refine", ModelId.YE),
-    ]
-    assert fit == min(limits, key=lambda f: f.rss)
+    ye = min(limits, key=lambda f: f.rss)
+    for models in (("GO", "YE"), ("YE",)):
+        calls.clear()
+        fits = fit_all(series, models, cfg)
+        assert calls == [
+            ("initial_search", ModelId.GO),
+            ("refine", ModelId.GO),
+            ("refine", ModelId.YE),
+            ("refine", ModelId.YE),
+        ], models
+        assert fits == ([go, ye] if "GO" in models else [ye])
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(1, 20_000), count=st.sampled_from([8, 256]))
-def test_spread_is_numpys_rounded_linspace(n, count):
-    """_spread picks the indices np.round(np.linspace(...)) does, every one
-    of them when n <= count, from the first to the last."""
-    spread = fitting._spread(n, count)
-    assert np.array_equal(spread, np.unique(np.round(np.linspace(0, n - 1, count))).astype(int))
-    if n <= count:
+@given(n=st.integers(1, 20_000))
+def test_spread_is_numpys_rounded_linspace(n):
+    """_spread picks the indices np.round(np.linspace(...)) does over its
+    256 points, every one of them when n <= 256, from the first to the
+    last."""
+    spread = fitting._spread(n)
+    assert np.array_equal(spread, np.unique(np.round(np.linspace(0, n - 1, 256))).astype(int))
+    if n <= 256:
         assert np.array_equal(spread, np.arange(n))
     assert spread[0] == 0 and spread[-1] == n - 1

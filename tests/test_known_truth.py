@@ -6,7 +6,7 @@
 import numpy as np
 import pytest
 
-from srgrowth.fitting import FitConfig, fit_one, refine
+from srgrowth.fitting import FitConfig, fit_all, refine
 from srgrowth.models import ModelId, mean_value, search_bounds
 from srgrowth.series import FailureSeries
 
@@ -51,7 +51,7 @@ def test_fit_is_no_worse_than_the_truth(model, shape, n):
     assert np.all((lo < truth) & (truth <= hi))
     y = np.array(series.cumulative)
     truth_rss = float(np.sum((y - mean_value(model, truth, series.times)) ** 2))
-    fit = fit_one(model, series, FitConfig())
+    (fit,) = fit_all(series, [model], FitConfig())
     assert fit.rss <= truth_rss * (1.0 + 1e-9)
 
 
@@ -76,8 +76,7 @@ def test_we_is_no_worse_than_the_go_it_nests(model, shape, n, seed):
     also on long series at a small search budget."""
     _, series = sample_known_truth(model, shape, n, seed)
     cfg = FitConfig(search_budget=500)
-    go = fit_one(ModelId.GO, series, cfg)
-    we = fit_one(ModelId.WE, series, cfg)
+    go, we = fit_all(series, (ModelId.GO, ModelId.WE), cfg)
     assert we.rss <= go.rss * (1.0 + 1e-9)
 
 
@@ -96,8 +95,8 @@ def test_ye_is_no_worse_than_its_go_limits(model, shape, n):
     with a parameter on its upper bound."""
     _, series = sample_known_truth(model, shape, n, SAMPLING_SEED)
     cfg = FitConfig()
-    a, b = fit_one(ModelId.GO, series, cfg).params
+    a, b = fit_all(series, [ModelId.GO], cfg)[0].params
     hi = search_bounds(ModelId.YE, series.n)[1]
     limits = [(a, hi[1], b / hi[1]), (hi[0], a / hi[0], b)]
     best = min(refine(ModelId.YE, series, start).rss for start in limits)
-    assert fit_one(ModelId.YE, series, cfg).rss <= best * (1.0 + 1e-9)
+    assert fit_all(series, [ModelId.YE], cfg)[0].rss <= best * (1.0 + 1e-9)
