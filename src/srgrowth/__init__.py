@@ -16,6 +16,7 @@ from . import errors
 # Each export is resolved from its module on first use (PEP 562), so that
 # importing the package, or running a verb that never fits, loads no numpy.
 _EXPORTS = {
+    "config": ("FitConfig",),
     "errors": (
         "AnalysisError",
         "DegenerateDataError",
@@ -32,7 +33,6 @@ _EXPORTS = {
         "UnknownRepoError",
     ),
     "fitting": (
-        "FitConfig",
         "aic",
         "bic",
         "fit_all",

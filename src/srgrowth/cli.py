@@ -21,7 +21,6 @@ byte-identical output trees.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -31,7 +30,6 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .errors import (
     AnalysisError,
-    EmptySeriesError,
     InputError,
     InsufficientDataError,
     SegmentCoverageError,
@@ -225,50 +223,34 @@ def _refuse_repeats(names, what: str) -> None:
 
 
 def _ingest_sources(args):
-    """(stem, ParseResult) per ``--issues`` file, then ``--repo``."""
-    from .pipeline import fetch_issues, parse_issues
+    """(stem, (NDJSON text, summary counts)) per ``--issues`` file, then ``--repo``."""
+    from .pipeline import _ingest_files, _ingest_outcome, fetch_issues
 
     paths = list(map(Path, args.issues))
     stems = [path.stem for path in paths]
     if args.repo:
         stems.append(args.repo.replace("/", "_"))
     _refuse_repeats(stems, "inputs")
-    for path in paths:
-        yield path.stem, parse_issues(path.read_bytes())
+    yield from zip(stems, _ingest_files(paths, args.title_match))
     if args.repo:
         # --token first, then the first environment variable that is set
         token = args.token or next(filter(None, map(os.environ.get, TOKEN_ENV_VARS)), None)
-        yield stems[-1], fetch_issues(args.repo, auth_token=token)
+        yield stems[-1], _ingest_outcome(fetch_issues(args.repo, auth_token=token), args.title_match)
 
 
 def cmd_ingest(args) -> int:
     if not args.issues and not args.repo:
         raise ValueError("ingest needs --issues files or --repo")
-    from .pipeline import filter_defects, issue_to_json
 
     summary: dict[str, dict] = {}
-    for stem, parsed in _ingest_sources(args):
-        records, skipped = parsed.records, parsed.skipped
-        excluded: list = []
-        kept = filter_defects(records, include_title=args.title_match, excluded=excluded)
-        matched = len(kept) + len(excluded)
+    for stem, (text, counts) in _ingest_sources(args):
         target = args.out / f"{stem}.ndjson"
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
-            # issue_to_json builds its keys in sorted order, so each line has them sorted
-            handle.writelines(json.dumps(issue_to_json(record)) + "\n" for record in kept)
-
-        summary[stem] = {
-            "total": len(records),
-            "parse_skipped": len(skipped),
-            "parse_skip_notes": skipped,
-            "defect_matched": matched,
-            "excluded": len(excluded),
-            "kept": len(kept),
-            "output": target.name,
-        }
+            handle.write(text)
+        summary[stem] = {**counts, "output": target.name}
         print(
-            f"{stem}: total={len(records)} defect_matched={matched} "
-            f"excluded={len(excluded)} kept={len(kept)}"
+            f"{stem}: total={counts['total']} defect_matched={counts['defect_matched']} "
+            f"excluded={counts['excluded']} kept={counts['kept']}"
         )
 
     _write_meta(args, "summary.json", {"title_match": bool(args.title_match), "inputs": summary})
@@ -281,41 +263,38 @@ def cmd_ingest(args) -> int:
 
 
 def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dict]]:
-    """Series per the grouping mode, segment labels, and skipped.csv rows."""
-    from .pipeline import ReleaseWindow, build_series, classify_attribute, parse_issues
-    from .pipeline import load_attributes_csv, load_releases_csv, segment_releases
+    """Series per the grouping mode, segment labels, and skipped.csv rows.
 
-    paths = map(Path, args.issues)
-    projects = [(path.stem, parse_issues(path.read_bytes()).records) for path in paths]
+    The side input is read first, so a bad one is reported before any issue
+    file is parsed; every file is parsed before the first is grouped.
+    """
+    from .pipeline import _series_files, classify_attribute, load_attributes_csv
+    from .pipeline import load_releases_csv
+
     grouping = args.group_by
-    series: list[FailureSeries] = []
-    segments: dict[str, str] = {}
-    skipped: list[dict] = []
-
+    windows = attributes = None
     if grouping == "releases":
         if not args.releases:
             raise ValueError("--group-by releases needs --releases")
         windows = load_releases_csv(args.releases)
-        for project, records in projects:
-            # each window named after its project, so its series is too
-            named = [ReleaseWindow(f"{project}:{w.name}", w.start, w.end) for w in windows]
-            outcome = segment_releases(records, named, min_faults=args.min_faults)
-            series.extend(outcome.series)
-            for name, count in outcome.dropped:
-                reason = f"only {count} faults (min {args.min_faults})"
-                skipped.append({"name": name, "reason": reason})
-        return series, segments, skipped
-
-    attributes = None
-    if grouping == "domain" or grouping.startswith("attribute:"):
+    elif grouping != "whole":
         if not args.attributes:
             raise ValueError(f"--group-by {grouping} needs --attributes")
         attributes = load_attributes_csv(args.attributes)
 
-    for project, records in projects:
-        try:
-            s = build_series(records, label=project)
-        except EmptySeriesError:
+    paths = list(map(Path, args.issues))
+    built = list(_series_files(paths, windows, args.min_faults))
+    series: list[FailureSeries] = []
+    segments: dict[str, str] = {}
+    skipped: list[dict] = []
+    for project, outcome in zip((path.stem for path in paths), built):
+        if windows is not None:
+            series.extend(outcome.series)
+            for name, count in outcome.dropped:
+                reason = f"only {count} faults (min {args.min_faults})"
+                skipped.append({"name": name, "reason": reason})
+            continue
+        if outcome is None:
             skipped.append({"name": project, "reason": "no issues"})
             continue
         if attributes is not None:
@@ -329,16 +308,16 @@ def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dic
             else:
                 metric = grouping.split(":", 1)[1]
                 segments[project] = classify_attribute(metric, attrs.metrics[metric])
-        series.append(s)
+        series.append(outcome)
     return series, segments, skipped
 
 
 def _series_stage(
-    args, need: int, purpose: str
+    args, grouped: tuple, need: int, purpose: str
 ) -> tuple[list[FailureSeries], list[dict], list[dict], dict]:
-    """The stage that ``trend`` and ``fit`` share.
+    """The stage that ``trend`` and ``fit`` share, after ``_grouped_series``.
 
-    Groups the series, refuses two of one name, moves each one with fewer
+    Refuses two ``grouped`` series of one name, moves each one with fewer
     than ``need`` observations to the skipped rows
     (``InsufficientDataError`` when none is left), and
     writes trend.csv, segments.csv (when the grouping has segments) and
@@ -347,7 +326,7 @@ def _series_stage(
     """
     from .stats import laplace_factor
 
-    grouped, segments, skipped = _grouped_series(args)
+    grouped, segments, skipped = grouped
     # a project file's stem, or its stem and a release name, names a series
     _refuse_repeats([*(s.label for s in grouped), *(row["name"] for row in skipped)], "series")
     series = []
@@ -384,7 +363,7 @@ def _series_stage(
 
 
 def cmd_trend(args) -> int:
-    _, rows, skipped, meta = _series_stage(args, 2, "trend")
+    _, rows, skipped, meta = _series_stage(args, _grouped_series(args), 2, "trend")
     _write_meta(args, "run_metadata.json", meta, trend=rows, skipped=skipped)
     for row in rows:
         flag = "growth" if row["growth_significant"] else "no significant growth"
@@ -422,14 +401,18 @@ def _parse_models(raw: str | None) -> list[ModelId]:
 def cmd_fit(args) -> int:
     from dataclasses import fields
 
-    from .fitting import FitConfig, fit_all
-    from .models import descriptor, mean_value
+    from .config import FitConfig
 
     models = _parse_models(args.models)
     given = {f.name: getattr(args, f.name) for f in fields(FitConfig) if hasattr(args, f.name)}
     cfg = FitConfig(**given)
+    # the input stage may fork, which a process should do before numpy loads
+    grouped = _grouped_series(args)
+    from .fitting import fit_all
+    from .models import descriptor, mean_value
+
     need = min(descriptor(m).k for m in models) + 1
-    series, trend_rows, skipped, meta = _series_stage(args, need, "fitting")
+    series, trend_rows, skipped, meta = _series_stage(args, grouped, need, "fitting")
 
     slugs = unique_slugs([s.label for s in series])
     curves_dir = args.out / "curves"

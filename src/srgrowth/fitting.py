@@ -33,10 +33,10 @@ the error variance counted as one extra estimated parameter, hence k + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FitConfig
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -57,22 +57,6 @@ _PROFILE_POINTS = 256
 _PROFILE_CHUNK = 4096  # draws scored at once, at most 2^20 draw-points
 _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e12
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Shape draws per model in the initial search and the seed of their stream.
-
-    Refinement has no settings here; its stopping rules are the module's
-    ``REFINE_*`` constants.
-    """
-
-    search_budget: int = 256
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.search_budget < 1:
-            raise ValueError("search_budget must be at least 1")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ by their structural metrics.
 from __future__ import annotations
 
 import json
+import os
 import re
 import time as _time
 from bisect import bisect_left
@@ -279,6 +280,20 @@ def issue_to_json(record: IssueRecord) -> dict:
     }
 
 
+# the escaper json.dumps uses for each string under its default ensure_ascii
+_QUOTE = json.encoder.encode_basestring_ascii
+
+
+def _ndjson_line(record: IssueRecord) -> str:
+    """``json.dumps(issue_to_json(record)) + "\n"``, built without the dict;
+    about half the cost per record.  An ISO timestamp needs no escaping."""
+    return (
+        f'{{"created_at": "{record.created_at.isoformat()}", "id": {record.id}, '
+        f'"labels": [{", ".join(map(_QUOTE, record.labels))}], '
+        f'"state": {_QUOTE(record.state)}, "title": {_QUOTE(record.title)}}}\n'
+    )
+
+
 # ---------------------------------------------------------------------------
 # live fetch
 # ---------------------------------------------------------------------------
@@ -447,6 +462,17 @@ def build_series(
     return FailureSeries(times=times, horizon=horizon, label=name)
 
 
+def _disjoint(windows: Sequence[ReleaseWindow]) -> list[ReleaseWindow]:
+    """``windows`` by start; ``ValueError`` when two of them overlap."""
+    ordered = sorted(windows, key=lambda w: w.start)
+    for before, after in zip(ordered, ordered[1:]):
+        if after.start < before.end:
+            raise ValueError(
+                f"release windows {before.name!r} and {after.name!r} overlap"
+            )
+    return ordered
+
+
 def segment_releases(
     issues: Sequence[IssueRecord],
     windows: Sequence[ReleaseWindow],
@@ -458,12 +484,7 @@ def segment_releases(
     ``min_faults`` issues are not turned into series; they are reported in
     ``dropped`` as (name, count) instead.
     """
-    ordered = sorted(windows, key=lambda w: w.start)
-    for before, after in zip(ordered, ordered[1:]):
-        if after.start < before.end:
-            raise ValueError(
-                f"release windows {before.name!r} and {after.name!r} overlap"
-            )
+    ordered = _disjoint(windows)
     records = sorted(issues, key=_CHRONOLOGICAL)
     created = [r.created_at for r in records]
     series = []
@@ -505,7 +526,7 @@ def classify_attribute(metric: str, value: int) -> str:
 
 def load_releases_csv(path: str | Path) -> list[ReleaseWindow]:
     """Read release windows from a CSV with header name,start,end; each
-    window needs a name of its own."""
+    window needs a name of its own, and no two may overlap."""
     windows: dict[str, ReleaseWindow] = {}
     for row in read_csv(path, ("name", "start", "end")):
         name = row["name"]
@@ -519,6 +540,10 @@ def load_releases_csv(path: str | Path) -> list[ReleaseWindow]:
             )
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+    try:
+        _disjoint(windows.values())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return list(windows.values())
 
 
@@ -543,3 +568,212 @@ def load_attributes_csv(path: str | Path) -> dict[str, ProjectAttributes]:
             raise ValueError(f"{path}: bad attribute row for {project!r}: {exc}") from exc
         table[project] = ProjectAttributes(category, metrics)
     return table
+
+
+# ---------------------------------------------------------------------------
+# the verbs' input stage, dealt over processes
+# ---------------------------------------------------------------------------
+
+# Input bytes that pay for one more process, set for `ingest`.  Measured on
+# a 2-vCPU Linux host, 16 alternating CLI runs of one process and of two at
+# each size; medians one -> two, and the runs two processes won:
+#   `ingest` of two raw exports: 2 x 100 kB 139 -> 144 ms (2 of 16),
+#   2 x 200 kB 157 -> 154 ms (11) and 2 x 400 kB 184 -> 169 ms (13);
+#   `trend` of two normalized files: 2 x 200 kB 106 -> 113 ms (1),
+#   2 x 400 kB 123 -> 128 ms (4) and, again, 173 -> 160 ms (10), and
+#   2 x 800 kB 154 -> 146 ms (16).
+# Ingest breaks even near 200 kB a process, trend, which does less per
+# byte, near 400 kB.  A process per full 256 KiB keeps smaller inputs in
+# one process; trend and fit pay a few ms on 256-400 kB a process.
+_SHARE_BYTES = 256 * 1024
+
+
+def _process_count(sizes: list[int]) -> int:
+    """Processes for inputs of ``sizes`` bytes: at most one per CPU this
+    process may run on, per non-empty input and per full ``_SHARE_BYTES``;
+    one where the platform cannot fork or tell its CPUs.  With no more
+    processes than non-empty inputs, dealing largest first gives each
+    process one of them, so no share is left empty."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    filled = sum(1 for size in sizes if size)
+    return max(1, min(len(os.sched_getaffinity(0)), filled, sum(sizes) // _SHARE_BYTES))
+
+
+def _file_size(path) -> int:
+    # a file that cannot be read fails when its turn comes, as in a serial loop
+    try:
+        return os.stat(path).st_size
+    except OSError:
+        return 0
+
+
+def _run_share(func, items, share, started=None) -> list:
+    """``(index, (True, result))``, or ``(index, (False, exception))`` for a
+    call that raised, per index of ``share``."""
+    outcomes = []
+    for index in share:
+        if started is not None:
+            started(index)
+        try:
+            outcomes.append((index, (True, func(items[index]))))
+        except Exception as exc:
+            outcomes.append((index, (False, exc)))
+    return outcomes
+
+
+def _fork(func, items, share, pipes):
+    """Fork a child that runs ``share`` and pickles to a pipe each index it
+    starts, then all its outcomes; returns its pid and the pipe's read end,
+    or None when no process could be made.  The child closes ``pipes``, its
+    siblings' read ends, so that a child whose parent died fails its next
+    write and exits."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # at a process or memory limit
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        for pipe in pipes:
+            pipe.close()
+        with open(write_fd, "wb") as pipe:
+
+            def started(index):
+                pickle.dump(index, pipe)
+                pipe.flush()
+
+            pickle.dump(_run_share(func, items, share, started), pipe)
+        status = 0
+    finally:
+        os._exit(status)  # no buffer, atexit handler or caller's finally runs twice
+
+
+def _collect(pid, pipe, share, items, outcomes) -> None:
+    """Read a child's outcomes into ``outcomes`` and reap it.  Each index a
+    child that died left without an outcome gets an error naming the item
+    the child was on."""
+    import pickle
+
+    current = share[0]
+    with pipe:
+        while True:
+            try:
+                frame = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                break
+            if isinstance(frame, int):
+                current = frame
+            else:
+                outcomes.update(frame)
+    _, status = os.waitpid(pid, 0)
+    missing = [index for index in share if index not in outcomes]
+    if missing:
+        error = ChildProcessError(
+            f"the process reading {items[current]} ended with exit status "
+            f"{os.waitstatus_to_exitcode(status)} before its result"
+        )
+        outcomes.update((index, (False, error)) for index in missing)
+
+
+def _map_inputs(func, items):
+    """Yield ``func(item)`` for each of the ``items`` (input file paths), in
+    input order.
+
+    The files are dealt largest first to the least-loaded of this process
+    and up to ``_process_count - 1`` forked children, so this process takes
+    the largest; with one process everything runs here.  Every module
+    ``func`` uses is imported before this is called, so that no child
+    imports one again.  Every child is reaped before the first result is
+    yielded.  A call that raised re-raises its exception when its turn
+    comes, as in a serial loop, so a caller that writes each result as it
+    comes writes what a serial run would have.
+    """
+    sizes = [_file_size(item) for item in items]
+    shares: list[list[int]] = [[] for _ in range(_process_count(sizes))]
+    loads = [0] * len(shares)
+    for index in sorted(range(len(items)), key=sizes.__getitem__, reverse=True):
+        least = loads.index(min(loads))
+        shares[least].append(index)
+        loads[least] += sizes[index]
+    outcomes: dict = {}
+    children: list = []
+    mine = shares[0]
+    try:
+        for share in shares[1:]:
+            child = _fork(func, items, share, [pipe for _, pipe, _ in children])
+            if child is None:
+                mine = mine + share
+            else:
+                children.append((*child, share))
+        outcomes.update(_run_share(func, items, mine))
+        while children:
+            _collect(*children[0], items, outcomes)
+            del children[0]
+    finally:
+        for pid, pipe, _ in children:  # left only when this process failed
+            from signal import SIGKILL
+
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    for index in range(len(items)):
+        ok, value = outcomes[index]
+        if not ok:
+            raise value
+        yield value
+
+
+def _ingest_outcome(parsed: ParseResult, include_title: bool) -> tuple[str, dict]:
+    """The NDJSON text of a parsed export's kept defects and the export's
+    ingest summary counts."""
+    excluded: list[IssueRecord] = []
+    kept = filter_defects(parsed.records, include_title=include_title, excluded=excluded)
+    counts = {
+        "total": len(parsed.records),
+        "parse_skipped": len(parsed.skipped),
+        "parse_skip_notes": parsed.skipped,
+        "defect_matched": len(kept) + len(excluded),
+        "excluded": len(excluded),
+        "kept": len(kept),
+    }
+    return "".join(map(_ndjson_line, kept)), counts
+
+
+def _ingest_file(path: Path, include_title: bool) -> tuple[str, dict]:
+    return _ingest_outcome(parse_issues(path.read_bytes()), include_title)
+
+
+def _ingest_files(paths: list[Path], include_title: bool):
+    """``_ingest_file`` of each of ``paths``, in order, over ``_map_inputs``."""
+    return _map_inputs(lambda path: _ingest_file(path, include_title), paths)
+
+
+def _project_series(path: Path, windows: list[ReleaseWindow] | None, min_faults: int):
+    """A normalized project file's segmentation into ``windows``, each named
+    after the project; without windows its whole series, or None when it
+    has no issues."""
+    project = path.stem
+    records = parse_issues(path.read_bytes()).records
+    if windows is None:
+        try:
+            return build_series(records, label=project)
+        except EmptySeriesError:
+            return None
+    named = [ReleaseWindow(f"{project}:{w.name}", w.start, w.end) for w in windows]
+    return segment_releases(records, named, min_faults=min_faults)
+
+
+def _series_files(paths: list[Path], windows: list[ReleaseWindow] | None, min_faults: int):
+    """``_project_series`` of each of ``paths``, in order, over ``_map_inputs``."""
+    from .series import FailureSeries  # noqa: F401  (build_series's, imported before a fork)
+
+    return _map_inputs(lambda path: _project_series(path, windows, min_faults), paths)

@@ -1072,6 +1072,37 @@ def test_a_short_csv_row_is_refused_with_its_file_and_line(
     _refused_before_any_output(argv, tmp_path / "out", capsys, message)
 
 
+@pytest.mark.parametrize("verb", ["trend", "fit"])
+@pytest.mark.parametrize("grouping, option, text, message", [
+    ("releases", None, None, "--group-by releases needs --releases"),
+    ("releases", "--releases", "name,start,end\nr1,2020-01-01T00:00:00Z\n", "line 2 has fewer"),
+    ("releases", "--releases",
+     "name,start,end\nr1,2021-01-01T00:00:00Z,2021-06-01T00:00:00Z\n"
+     "r2,2021-05-01T00:00:00Z,2021-09-01T00:00:00Z\n", "release windows 'r1' and 'r2' overlap"),
+    ("domain", None, None, "--group-by domain needs --attributes"),
+    ("domain", "--attributes", "project,category,loc,noc,noi,nofa\na,C9,1,1,1,1\n",
+     "category must be C1..C8"),
+], ids=["no-releases", "short-release-row", "overlap", "no-attributes", "bad-category"])
+def test_a_bad_side_input_is_reported_before_any_issue_file_is_parsed(
+    tmp_path, capsys, verb, grouping, option, text, message
+):
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("{\n")
+    argv = [verb, "--issues", str(bad), "--group-by", grouping]
+    if option is not None:
+        side = tmp_path / "side.csv"
+        side.write_text(text)
+        argv += [option, str(side)]
+    _refused_before_any_output(argv, tmp_path / "out", capsys, message)
+
+
+def test_a_bad_budget_is_reported_before_any_issue_file_is_parsed(tmp_path, capsys):
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("{\n")
+    argv = ["fit", "--issues", str(bad), "--budget", "0"]
+    _refused_before_any_output(argv, tmp_path / "out", capsys, "search_budget must be at least 1")
+
+
 @pytest.fixture(scope="module")
 def good_fit(tmp_path_factory):
     out = tmp_path_factory.mktemp("good") / "fit"

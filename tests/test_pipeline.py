@@ -20,6 +20,7 @@ from srgrowth.pipeline import (
     IssueRecord,
     ReleaseWindow,
     _decode_line,
+    _ndjson_line,
     build_series,
     classify_attribute,
     filter_defects,
@@ -269,6 +270,33 @@ def test_any_issue_record_round_trips_through_both_forms(records, ensure_ascii):
         parsed = parse_issues(document.encode("utf-8"))
         assert parsed.skipped == []
         assert parsed.records == expected
+
+
+# lone surrogates and the control characters json escapes as \uXXXX or by
+# name, next to the text of the round-trip test
+ndjson_text = tricky_text | st.text(st.sampled_from(
+    ["\ud800", "\udfff", "\udbff", "\udc00", "\x01", "\x08", "\t", "\x0c", "\x1f", "\x7f", "a", '"', "\\"]
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    record=issue_records,
+    labels=st.lists(ndjson_text, max_size=3).map(tuple),
+    title=ndjson_text,
+    state=ndjson_text,
+)
+@example(
+    record=issue(2**70, days=0.123456789),
+    labels=("\ud800", "a\u2028b"),
+    title='say "hi"\\',
+    state="\x00\x7f\u00e9",
+)
+def test_ndjson_line_is_json_dumps_of_issue_to_json(record, labels, title, state):
+    """ingest's writer builds each line as json.dumps of issue_to_json does,
+    microsecond timestamps, large ids and every escape included."""
+    record = record._replace(labels=labels, title=title, state=state)
+    assert _ndjson_line(record) == json.dumps(issue_to_json(record)) + "\n"
 
 
 json_values = st.recursive(
@@ -523,6 +551,17 @@ def test_segment_releases_empty_window_reported():
 def test_segment_releases_rejects_overlap():
     with pytest.raises(ValueError):
         segment_releases([issue(1, 1.0)], [window("a", 0, 5), window("b", 4, 9)])
+
+
+def test_load_releases_csv_refuses_overlapping_windows(tmp_path):
+    path = tmp_path / "releases.csv"
+    path.write_text(
+        "name,start,end\n"
+        "late,2021-03-01T00:00:00Z,2021-09-01T00:00:00Z\n"
+        "early,2021-01-01T00:00:00Z,2021-03-02T00:00:00Z\n"
+    )
+    with pytest.raises(ValueError, match=f"{path}: release windows 'early' and 'late' overlap"):
+        load_releases_csv(path)
 
 
 def test_segment_releases_counts_partition_the_union():
