@@ -224,14 +224,19 @@ def _refuse_repeats(names, what: str) -> None:
 
 def _ingest_sources(args):
     """(stem, (NDJSON text, summary counts)) per ``--issues`` file, then ``--repo``."""
-    from .pipeline import _ingest_files, _ingest_outcome, fetch_issues
+    from .pipeline import _ingest_file, _ingest_outcome, _map_inputs, fetch_issues
 
     paths = list(map(Path, args.issues))
     stems = [path.stem for path in paths]
     if args.repo:
         stems.append(args.repo.replace("/", "_"))
     _refuse_repeats(stems, "inputs")
-    yield from zip(stems, _ingest_files(paths, args.title_match))
+    existing = [path for path in paths if path.exists()]
+    for name in [f"{stem}.ndjson" for stem in stems] + ["summary.json", "report.json"]:
+        target = args.out / name
+        if target.exists() and any(target.samefile(path) for path in existing):
+            raise ValueError(f"--out would overwrite the input {target}")
+    yield from zip(stems, _map_inputs(lambda path: _ingest_file(path, args.title_match), paths))
     if args.repo:
         # --token first, then the first environment variable that is set
         token = args.token or next(filter(None, map(os.environ.get, TOKEN_ENV_VARS)), None)
@@ -268,8 +273,8 @@ def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dic
     The side input is read first, so a bad one is reported before any issue
     file is parsed; every file is parsed before the first is grouped.
     """
-    from .pipeline import _series_files, classify_attribute, load_attributes_csv
-    from .pipeline import load_releases_csv
+    from .pipeline import _map_inputs, _project_series, classify_attribute
+    from .pipeline import load_attributes_csv, load_releases_csv
 
     grouping = args.group_by
     windows = attributes = None
@@ -283,21 +288,14 @@ def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dic
         attributes = load_attributes_csv(args.attributes)
 
     paths = list(map(Path, args.issues))
-    built = list(_series_files(paths, windows, args.min_faults))
+    built = list(_map_inputs(lambda path: _project_series(path, windows, args.min_faults), paths))
     series: list[FailureSeries] = []
     segments: dict[str, str] = {}
     skipped: list[dict] = []
-    for project, outcome in zip((path.stem for path in paths), built):
-        if windows is not None:
-            series.extend(outcome.series)
-            for name, count in outcome.dropped:
-                reason = f"only {count} faults (min {args.min_faults})"
-                skipped.append({"name": name, "reason": reason})
-            continue
-        if outcome is None:
-            skipped.append({"name": project, "reason": "no issues"})
-            continue
-        if attributes is not None:
+    for project, (project_series, project_skipped) in zip((path.stem for path in paths), built):
+        series.extend(project_series)
+        skipped.extend(project_skipped)
+        if attributes is not None and project_series:
             if project not in attributes:
                 raise SegmentCoverageError(
                     f"attributes file has no row for project {project!r}"
@@ -308,7 +306,6 @@ def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dic
             else:
                 metric = grouping.split(":", 1)[1]
                 segments[project] = classify_attribute(metric, attrs.metrics[metric])
-        series.append(outcome)
     return series, segments, skipped
 
 

@@ -160,6 +160,22 @@ def test_ingest_missing_file_exits_two(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("name, fmt", [("p.ndjson", "csv"), ("summary.json", "csv"),
+                                       ("report.json", "json")])
+def test_ingest_refuses_to_overwrite_an_input(tmp_path, capsys, name, fmt):
+    """An --out that holds an input under an output's name is refused before
+    anything is parsed or written, however the directory is spelled."""
+    raw = tmp_path / "d" / name
+    raw.parent.mkdir()
+    write_issues(raw, 5, labels=("enhancement",))
+    before = raw.read_bytes()
+    out = raw.parent / ".." / "d"
+    assert main(["ingest", "--issues", str(raw), "--format", fmt, "--out", str(out)]) == 2
+    assert f"would overwrite the input {out / name}" in capsys.readouterr().err
+    assert raw.read_bytes() == before
+    assert [path.name for path in raw.parent.iterdir()] == [name]
+
+
 def test_ingest_needs_some_source(tmp_path):
     assert main(["ingest", "--out", str(tmp_path / "o")]) == 2
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -145,6 +146,42 @@ def test_a_child_that_dies_fails_the_call_and_names_its_file(monkeypatch, export
     no_child_left()
 
 
+def test_a_failed_fork_runs_its_share_here(monkeypatch, exports):
+    def no_fork():
+        raise OSError("fork: resource temporarily unavailable")
+
+    use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    results = list(pipeline._map_inputs(read_and_pid, exports))
+    assert results == [(p.read_bytes(), os.getpid()) for p in exports]
+    assert len(os.listdir("/proc/self/fd")) == open_fds  # each pipe is closed
+
+
+def test_an_interrupt_here_kills_and_reaps_the_children(monkeypatch, exports, tmp_path):
+    """This process is interrupted on its file while its child sleeps: the
+    interrupt propagates at once and leaves no child."""
+    parent, asleep = os.getpid(), tmp_path / "asleep"
+
+    def interrupted_here(path):
+        if os.getpid() != parent:
+            asleep.touch()
+            time.sleep(60)
+            return path.stem
+        deadline = time.monotonic() + 30
+        while not asleep.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+
+    use_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        list(pipeline._map_inputs(interrupted_here, exports))
+    assert asleep.exists()
+    assert time.monotonic() - start < 30
+    no_child_left()
+
+
 def run_verbs(out: Path, exports, releases: Path) -> dict:
     """Ingest, trend by releases, trend whole and fit; their trees."""
     ingest = out / "ingest"
@@ -208,6 +245,29 @@ def test_a_failed_ingest_leaves_the_serial_runs_files(monkeypatch, capsys, tmp_p
         no_child_left()
     assert list(outs[1][0]) == ["p1.ndjson"]
     assert outs[2] == outs[1] and outs[3] == outs[1]
+
+
+@pytest.mark.parametrize("fault", ["malformed", "not UTF-8"])
+@pytest.mark.parametrize("verb", ["ingest", "trend", "fit"])
+def test_a_parse_error_names_its_file(monkeypatch, capsys, tmp_path, exports, verb, fault):
+    """p2 is bad; at 2 CPUs a child parses it.  The message is the serial
+    run's and names the file."""
+    bad = exports[1]
+    if fault == "malformed":
+        corrupt(bad, 500)
+    else:
+        bad.write_bytes(bad.read_bytes().replace(b"crash 5", b"crash \xff", 1))
+    errors = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        argv = [verb, "--issues", *map(str, exports), "--out", str(tmp_path / f"out{cpus}")]
+        if verb == "fit":
+            argv += ["--models", "GO", "--budget", "16"]
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+        no_child_left()
+    assert errors[1] == errors[0]
+    assert errors[0].startswith(f"error: {bad}: {fault}")
 
 
 def run_forking(code: str) -> subprocess.CompletedProcess:

@@ -224,6 +224,18 @@ def test_parse_issues_offset_counts_the_byte_order_mark():
     assert err.value.offset == doc.index(b"oops")
 
 
+@pytest.mark.parametrize("form", ["array", "ndjson"])
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_parse_issues_refuses_bytes_that_are_not_utf8(form, bom):
+    """A ParseError, not a UnicodeDecodeError; its offset counts the BOM."""
+    good = json.dumps(raw(1)).encode("utf-8")
+    bad = b'{"id": 2, "title": "caf\xe9"}'
+    doc = bom + (b"[" + good + b", " + bad + b"]" if form == "array" else good + b"\n" + bad)
+    with pytest.raises(ParseError, match="^not UTF-8: invalid continuation byte") as err:
+        parse_issues(doc)
+    assert err.value.offset == doc.index(b"\xe9")
+
+
 def test_issue_round_trips_through_json():
     rec = issue(11, days=2.5, labels=("bug", "ui"), state="closed")
     doc = json.dumps([issue_to_json(rec)])
