@@ -56,6 +56,7 @@ from .reporting import (
     trend_row,
     unique_slugs,
     write_csv,
+    write_curves,
     write_json,
 )
 
@@ -136,10 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--group-by", default="whole", choices=GROUPINGS, dest="group_by")
         cmd.add_argument(
             "--min-faults",
-            type=int,
+            type=_parse_min_faults,
             default=DEFAULT_MIN_FAULTS,
             dest="min_faults",
-            help=f"drop release windows with fewer faults (default {DEFAULT_MIN_FAULTS})",
+            help=f"drop release windows with fewer faults, at least 1 (default {DEFAULT_MIN_FAULTS})",
         )
         if name == "fit":
             cmd.add_argument("--models", help="comma-separated model ids (default: all nine)")
@@ -193,6 +194,17 @@ def _parse_formats(raw: str) -> set[str]:
             f"unknown output formats {sorted(unknown)}; choose from csv,json"
         )
     return formats
+
+
+def _parse_min_faults(raw: str) -> int:
+    # a window with no faults has no series, whatever the least count is
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _write_meta(args, name: str, meta: dict, **results) -> None:
@@ -418,17 +430,13 @@ def cmd_fit(args) -> int:
     gof_records = []
     for s in series:
         results = fit_all(s, models, cfg)
-        curves = [
-            mean_value(r.model, r.params, s.times).tolist()
+        curves = {
+            str(r.model): mean_value(r.model, r.params, s.times).tolist()
             if all(math.isfinite(v) for v in r.params)
-            else [None] * s.n
+            else None
             for r in results
-        ]
-        write_csv(
-            curves_dir / f"{slugs[s.label]}.csv",
-            ["t", "observed", *(str(r.model) for r in results)],
-            zip(s.times, s.cumulative, *curves),
-        )
+        }
+        write_curves(curves_dir / f"{slugs[s.label]}.csv", s.times, s.cumulative, curves)
         gof_records.extend(gof_record(s.label, r) for r in results)
         meta["series"][s.label]["curve"] = f"curves/{slugs[s.label]}.csv"
 

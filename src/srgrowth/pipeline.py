@@ -175,7 +175,10 @@ def _record_from_dict(obj, skipped: list[str], where: str, index: int) -> IssueR
     )
 
 
-_RAW_DECODE = json.JSONDecoder().raw_decode
+_DECODER = json.JSONDecoder()
+_RAW_DECODE = _DECODER.raw_decode
+# (value, end) of the JSON value at an index; StopIteration when none starts there
+_SCAN_ONCE = _DECODER.scan_once
 _SKIP_WHITESPACE = json.decoder.WHITESPACE.match
 
 
@@ -231,8 +234,16 @@ def parse_issues(document: bytes | str) -> ParseResult:
             content = line.strip()
             if not content:
                 continue
+            # one C-scanner call decodes a line that holds one whole value;
+            # any other line goes through _decode_line, which raises the
+            # error json.loads would
             try:
-                obj = _decode_line(content)
+                obj, end = _SCAN_ONCE(content, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            try:
+                if end != len(content):
+                    obj = _decode_line(content)
             except json.JSONDecodeError as exc:
                 line_start = sum(map(len, lines[:index])) + index
                 raise ParseError(

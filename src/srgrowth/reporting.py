@@ -146,6 +146,29 @@ def write_csv(path: Path, columns: Sequence[str], rows: Iterable) -> None:
             writer.writerow([_cell(v) for v in values])
 
 
+def write_curves(
+    path: Path,
+    times: Sequence[float],
+    observed: Sequence[float],
+    curves: dict[str, Sequence[float] | None],
+) -> None:
+    """A fit's curve table: columns ``t``, ``observed`` and one per entry of
+    ``curves``, a model's fitted mean at each time, or None for a model that
+    could not be fitted, whose column is left empty.
+
+    Every value is a float, and the bytes are those ``write_csv`` writes for
+    the same cells.  The rows are formatted by one ``%`` template per file
+    rather than cell by cell: ``"%.17g" % x`` is ``fmt_float(x)``, and a
+    float's text never needs quoting.
+    """
+    cells = ["%.17g", "%.17g", *("" if c is None else "%.17g" for c in curves.values())]
+    template = ",".join(cells) + "\r\n"
+    fitted = [c for c in curves.values() if c is not None]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerow(["t", "observed", *curves])
+        handle.writelines(map(template.__mod__, zip(times, observed, *fitted)))
+
+
 def gof_record(label: str, result: FitResult) -> dict:
     """A fit's gof entry in report.json; ``gof_row`` makes its gof.csv row."""
     return {

@@ -982,6 +982,24 @@ def test_unknown_format_is_a_usage_error_before_any_output(tmp_path, capsys, ver
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["trend", "fit"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_min_faults_below_one_is_a_usage_error_before_any_output(
+    tmp_path, two_projects, capsys, verb, value
+):
+    """A window with no faults is dropped whatever the least count, so a
+    least count below 1 would only be recorded in the metadata."""
+    releases = tmp_path / "releases.csv"
+    releases.write_text("name,start,end\nr1,2021-01-01T00:00:00Z,2022-01-01T00:00:00Z\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--issues", *map(str, two_projects), "--group-by", "releases",
+              "--releases", str(releases), "--min-faults", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --min-faults: must be at least 1, got {int(value)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _refused_before_any_output(argv, out, capsys, message):
     assert main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err

@@ -18,9 +18,12 @@ from srgrowth.pipeline import (
     SECONDS_PER_DAY,
     TIME_EPSILON,
     IssueRecord,
+    ParseResult,
     ReleaseWindow,
     _decode_line,
     _ndjson_line,
+    _record_from_dict,
+    _unique_sorted,
     build_series,
     classify_attribute,
     filter_defects,
@@ -343,6 +346,97 @@ def test_decode_line_matches_json_loads(value, indent, cut, bom, lead, tail, gar
         assert (err.value.msg, err.value.pos) == (exc.msg, exc.pos)
     else:
         assert _decode_line(line) == expected
+
+
+def parse_ndjson_line_by_line(document: str) -> ParseResult:
+    """parse_issues on an NDJSON document, with ``_decode_line`` decoding
+    every stripped line."""
+    text = document.removeprefix("\ufeff")
+    bom_bytes = 3 * (len(document) - len(text))
+    skipped: list[str] = []
+    records: list[IssueRecord] = []
+    lines = text.split("\n")
+    for index, line in enumerate(lines):
+        content = line.strip()
+        if not content:
+            continue
+        try:
+            obj = _decode_line(content)
+        except json.JSONDecodeError as exc:
+            pos = sum(map(len, lines[:index])) + index + line.find(content) + exc.pos
+            raise ParseError(
+                f"malformed JSON on line {index + 1}: {exc.msg}",
+                offset=bom_bytes + len(text[:pos].encode("utf-8")),
+            ) from exc
+        record = _record_from_dict(obj, skipped, "line ", index + 1)
+        if record is not None:
+            records.append(record)
+    return ParseResult(_unique_sorted(records, skipped), skipped)
+
+
+def parse_outcome(parse, document):
+    """The result of ``parse(document)``, or its ParseError's text and offset."""
+    try:
+        return parse(document)
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+# lines that are not one JSON value: trailing data, two values, a value
+# split over two lines, a byte-order mark past the first line, a lone "["
+BAD_NDJSON_LINES = [
+    "{} x", "{}{}", "1, 2", '{"a": [\n1]}', "\ufeff{}", "\ufeff" + json.dumps(raw(9)), "[",
+]
+# what str.strip takes off a line: JSON's whitespace, and NBSP, U+2028, U+0085
+# and VT, which JSON does not count as whitespace
+line_padding = st.text(
+    st.sampled_from([" ", "\t", "\r", "\u00a0", "\u2028", "\x85", "\x0b"]), max_size=3
+)
+ndjson_lines = (
+    st.builds(
+        lambda record, ensure_ascii: json.dumps(issue_to_json(record), ensure_ascii=ensure_ascii),
+        issue_records,
+        st.booleans(),
+    )
+    | json_values.map(json.dumps)
+    | st.sampled_from(["", json.dumps(raw(3)), json.dumps({"id": 4}), json.dumps(raw(3, created=""))])
+)
+
+
+@st.composite
+def ndjson_documents(draw, bad: bool):
+    """An NDJSON document that starts with an issue object, with padded
+    lines, blank lines and CRLF or LF endings, and one bad line when ``bad``."""
+    lines = [json.dumps(raw(1))] + draw(st.lists(ndjson_lines, max_size=6))
+    if bad:
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(BAD_NDJSON_LINES)))
+    padded = [draw(line_padding) + line + draw(line_padding) for line in lines]
+    return draw(st.sampled_from(["", "\ufeff"])) + draw(st.sampled_from(["\n", "\r\n"])).join(padded)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=ndjson_documents(bad=False))
+@example(document='{"id": 1, "created_at": "2021-03-01T00:00:00Z"}\u00a0\r\n\r\n\u2028[1]\x85\n')
+def test_parse_issues_decodes_ndjson_as_decode_line_does(document):
+    """Every line that holds one value gives the records and notes that
+    ``_decode_line`` on each line gives."""
+    for form in (document, document.encode("utf-8")):
+        assert parse_issues(form) == parse_ndjson_line_by_line(document)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=ndjson_documents(bad=True))
+@example(document=json.dumps(raw(1)) + "\n{} x")
+@example(document=json.dumps(raw(1)) + "\r\n\u00a0{}{}\r\n" + json.dumps(raw(2)))
+@example(document=json.dumps(raw(1)) + '\n{"a": [\n1]}')
+@example(document="\ufeff" + json.dumps(raw(1)) + "\n\ufeff{}")
+def test_parse_issues_refuses_a_bad_ndjson_line_as_decode_line_does(document):
+    """A line that is not one JSON value raises the ParseError, text and
+    byte offset, that ``_decode_line`` on each line raises."""
+    expected = parse_outcome(parse_ndjson_line_by_line, document)
+    assert isinstance(expected, tuple)  # every document here has a bad line
+    assert parse_outcome(parse_issues, document) == expected
+    assert parse_outcome(parse_issues, document.encode("utf-8")) == expected
 
 
 @pytest.mark.parametrize("form", ["array", "ndjson"])

@@ -5,10 +5,13 @@ import math
 import re
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from srgrowth.fitting import FitConfig, FitResult, GofScores, fit_all
 from srgrowth.models import (
     ASYMPTOTE_LOWER,
+    MODEL_ORDER,
     RATE_LOWER,
     RATE_UPPER,
     SCALE_PER_POINT,
@@ -31,6 +34,7 @@ from srgrowth.reporting import (
     trend_row,
     unique_slugs,
     write_csv,
+    write_curves,
     write_json,
 )
 from srgrowth.series import FailureSeries
@@ -125,14 +129,41 @@ def test_curve_csv_blank_for_failed_models(tmp_path):
     series = FailureSeries(times=times, horizon=4.0, label="s")
     fitted = [float(v) for v in mean_value(ModelId.GO, result_of().params, times)]
     path = tmp_path / "curve.csv"
-    # the fit command passes None cells for a model it could not fit
-    write_csv(path, ["t", "observed", "GO", "LL"],
-              zip(series.times, series.cumulative, fitted, [None] * series.n))
+    # the fit command passes None for a model it could not fit
+    write_curves(path, series.times, series.cumulative, {"GO": fitted, "LL": None})
     lines = csv_lines(path)
     assert lines[0] == "t,observed,GO,LL"
     cells = lines[1].split(",")
     assert cells[3] == ""  # failed model leaves its column blank
     assert float(cells[2]) == fitted[0]
+
+
+# floats of every kind: the edges of float64, signed zero, non-finite
+# values and integral floats, whose text has no point
+curve_floats = st.floats() | st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 3.0, -12.0, 1e16,
+]) | st.integers(-(2**53), 2**53).map(float)
+
+
+@st.composite
+def curve_tables(draw):
+    """times, observed counts and 1-9 model columns, any of them a placeholder."""
+    n = draw(st.integers(0, 12))
+    column = st.lists(curve_floats, min_size=n, max_size=n)
+    models = draw(st.lists(st.sampled_from(MODEL_ORDER), min_size=1, max_size=9, unique=True))
+    return draw(column), draw(column), {str(m): draw(st.none() | column) for m in models}
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=curve_tables())
+@example(table=([1.0, 2.5], [1.0, 2.0], {"GO": [0.5, -0.0], "LL": None, "YE": [math.nan, math.inf]}))
+def test_write_curves_writes_the_bytes_of_write_csv(tmp_path_factory, table):
+    times, observed, curves = table
+    out = tmp_path_factory.mktemp("curves")
+    write_curves(out / "curves.csv", times, observed, curves)
+    columns = [[None] * len(times) if c is None else c for c in curves.values()]
+    write_csv(out / "csv.csv", ["t", "observed", *curves], zip(times, observed, *columns))
+    assert (out / "curves.csv").read_bytes() == (out / "csv.csv").read_bytes()
 
 
 def test_trend_csv_layout(tmp_path):
