@@ -42,10 +42,6 @@ _EXPORTS = {
         "rse",
     ),
     "models": (
-        "ModelDescriptor",
-        "ShapeClass",
-        "classify",
-        "descriptor",
         "gradient",
         "mean_value",
         "search_bounds",
@@ -73,7 +69,11 @@ _EXPORTS = {
         "FitResult",
         "GofScores",
         "MODEL_ORDER",
+        "ModelDescriptor",
         "ModelId",
+        "ShapeClass",
+        "classify",
+        "descriptor",
     ),
     "reporting": ("DEFAULT_MIN_FAULTS",),
     "series": (

@@ -279,14 +279,22 @@ def cmd_ingest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dict]]:
-    """Series per the grouping mode, segment labels, and skipped.csv rows.
+def _series_stage(
+    args, need: int, purpose: str
+) -> tuple[list[FailureSeries], list[dict], list[dict], dict]:
+    """The stage that ``trend`` and ``fit`` share: series per the grouping mode.
 
-    The side input is read first, so a bad one is reported before any issue
-    file is parsed; every file is parsed before the first is grouped.
+    Reads the side input first, so a bad one is reported before any issue
+    file is parsed, and parses every file before it groups the first.
+    Refuses two series of one name, moves each one with fewer than ``need``
+    observations to the skipped rows (``InsufficientDataError`` when none
+    is left), and writes trend.csv, segments.csv (when the grouping has
+    segments) and skipped.csv.  Returns the kept series, their trend rows,
+    the skipped rows and the grouping part of the run metadata.
     """
     from .pipeline import _map_inputs, _project_series, classify_attribute
     from .pipeline import load_attributes_csv, load_releases_csv
+    from .stats import laplace_factor
 
     grouping = args.group_by
     windows = attributes = None
@@ -301,11 +309,11 @@ def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dic
 
     paths = list(map(Path, args.issues))
     built = list(_map_inputs(lambda path: _project_series(path, windows, args.min_faults), paths))
-    series: list[FailureSeries] = []
+    grouped: list[FailureSeries] = []
     segments: dict[str, str] = {}
     skipped: list[dict] = []
     for project, (project_series, project_skipped) in zip((path.stem for path in paths), built):
-        series.extend(project_series)
+        grouped.extend(project_series)
         skipped.extend(project_skipped)
         if attributes is not None and project_series:
             if project not in attributes:
@@ -318,24 +326,7 @@ def _grouped_series(args) -> tuple[list[FailureSeries], dict[str, str], list[dic
             else:
                 metric = grouping.split(":", 1)[1]
                 segments[project] = classify_attribute(metric, attrs.metrics[metric])
-    return series, segments, skipped
 
-
-def _series_stage(
-    args, grouped: tuple, need: int, purpose: str
-) -> tuple[list[FailureSeries], list[dict], list[dict], dict]:
-    """The stage that ``trend`` and ``fit`` share, after ``_grouped_series``.
-
-    Refuses two ``grouped`` series of one name, moves each one with fewer
-    than ``need`` observations to the skipped rows
-    (``InsufficientDataError`` when none is left), and
-    writes trend.csv, segments.csv (when the grouping has segments) and
-    skipped.csv.  Returns the kept series, their trend rows, the skipped
-    rows and the grouping part of the run metadata.
-    """
-    from .stats import laplace_factor
-
-    grouped, segments, skipped = grouped
     # a project file's stem, or its stem and a release name, names a series
     _refuse_repeats([*(s.label for s in grouped), *(row["name"] for row in skipped)], "series")
     series = []
@@ -372,7 +363,7 @@ def _series_stage(
 
 
 def cmd_trend(args) -> int:
-    _, rows, skipped, meta = _series_stage(args, _grouped_series(args), 2, "trend")
+    _, rows, skipped, meta = _series_stage(args, 2, "trend")
     _write_meta(args, "run_metadata.json", meta, trend=rows, skipped=skipped)
     for row in rows:
         flag = "growth" if row["growth_significant"] else "no significant growth"
@@ -411,17 +402,16 @@ def cmd_fit(args) -> int:
     from dataclasses import fields
 
     from .config import FitConfig
+    from .records import descriptor
 
     models = _parse_models(args.models)
     given = {f.name: getattr(args, f.name) for f in fields(FitConfig) if hasattr(args, f.name)}
     cfg = FitConfig(**given)
-    # the input stage may fork, which a process should do before numpy loads
-    grouped = _grouped_series(args)
-    from .fitting import fit_all
-    from .models import descriptor, mean_value
-
     need = min(descriptor(m).k for m in models) + 1
-    series, trend_rows, skipped, meta = _series_stage(args, grouped, need, "fitting")
+    # the input stage may fork, which a process should do before numpy loads
+    series, trend_rows, skipped, meta = _series_stage(args, need, "fitting")
+    from .fitting import fit_all
+    from .models import mean_value
 
     slugs = unique_slugs([s.label for s in series])
     curves_dir = args.out / "curves"

@@ -43,8 +43,8 @@ from .errors import (
     NumericError,
     SrgrowthError,
 )
-from .models import _KERNELS, descriptor, search_bounds, validate_params
-from .records import MODEL_ORDER, FitResult, GofScores, ModelId
+from .models import _KERNELS, search_bounds, validate_params
+from .records import MODEL_ORDER, FitResult, GofScores, ModelId, descriptor
 from .reporting import RSS_FLOOR
 from .series import FailureSeries
 

@@ -19,7 +19,9 @@ LL    Log-logistic               a * (l*t)**k / (1 + (l*t)**k)
 ====  =========================  =========================================
 
 Every model is linear in its first parameter, its scale: the asymptote
-of a bounded model, a defect-count factor for MO and DU.
+of a bounded model, a defect-count factor for MO and DU.  The static model
+table (``descriptor``, ``classify``) lives in the numpy-free ``records``
+module; this module re-exports it.
 
 The Yamada models are fitted with the product of their test-effort rate and
 scale as a single combined parameter (reported as ``r·α``); the two factors
@@ -34,13 +36,10 @@ parameter vectors.
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import ParameterDomainError
-from .records import MODEL_ORDER, ModelId  # noqa: F401  (re-exported)
+from .records import MODEL_ORDER, ModelId, ShapeClass, classify, descriptor  # noqa: F401
 
 EXP_CLAMP = 700.0
 
@@ -54,58 +53,6 @@ ASYMPTOTE_LOWER = 1e-6
 RATE_LOWER = 1e-9
 RATE_UPPER = 1e3
 SCALE_PER_POINT = 100.0
-
-
-class ShapeClass(str, Enum):
-    CONCAVE = "Concave"
-    S_SHAPED = "S-Shaped"
-    INFINITE = "Infinite"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-class ModelDescriptor(NamedTuple):
-    """Static description of one model.
-
-    The first parameter is the scale: m(t) is linear in it.  ``zero_ok``
-    marks parameters whose mathematical domain includes zero; only the
-    shape parameter of HD qualifies (at c = 0 HD reduces to GO).
-    """
-
-    id: ModelId
-    shape: ShapeClass
-    param_names: tuple[str, ...]
-    zero_ok: tuple[bool, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.param_names)
-
-
-_DESCRIPTORS: dict[ModelId, ModelDescriptor] = {
-    d.id: d
-    for d in (
-        ModelDescriptor(ModelId.GO, ShapeClass.CONCAVE, ("a", "b"), (False, False)),
-        ModelDescriptor(ModelId.GOS, ShapeClass.S_SHAPED, ("a", "b"), (False, False)),
-        ModelDescriptor(ModelId.HD, ShapeClass.CONCAVE, ("a", "b", "c"), (False, False, True)),
-        ModelDescriptor(ModelId.MO, ShapeClass.INFINITE, ("α", "β"), (False, False)),
-        ModelDescriptor(ModelId.DU, ShapeClass.INFINITE, ("α", "β"), (False, False)),
-        ModelDescriptor(ModelId.WE, ShapeClass.CONCAVE, ("a", "b", "c"), (False, False, False)),
-        ModelDescriptor(ModelId.YE, ShapeClass.CONCAVE, ("a", "r·α", "β"), (False, False, False)),
-        ModelDescriptor(ModelId.YR, ShapeClass.S_SHAPED, ("a", "r·α", "β"), (False, False, False)),
-        ModelDescriptor(ModelId.LL, ShapeClass.S_SHAPED, ("a", "λ", "κ"), (False, False, False)),
-    )
-}
-
-
-def descriptor(model: ModelId | str) -> ModelDescriptor:
-    return _DESCRIPTORS[ModelId(model)]
-
-
-def classify(model: ModelId | str) -> ShapeClass:
-    """Shape class of the model's mean value curve."""
-    return descriptor(model).shape
 
 
 # ---------------------------------------------------------------------------

@@ -175,23 +175,8 @@ def _record_from_dict(obj, skipped: list[str], where: str, index: int) -> IssueR
     )
 
 
-_DECODER = json.JSONDecoder()
-_RAW_DECODE = _DECODER.raw_decode
 # (value, end) of the JSON value at an index; StopIteration when none starts there
-_SCAN_ONCE = _DECODER.scan_once
-_SKIP_WHITESPACE = json.decoder.WHITESPACE.match
-
-
-def _decode_line(line: str):
-    """``json.loads(line)`` through one reused decoder, cheaper per line: the
-    same value, or the same ``JSONDecodeError`` with its message and position."""
-    if line.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-    obj, end = _RAW_DECODE(line, _SKIP_WHITESPACE(line, 0).end())
-    end = _SKIP_WHITESPACE(line, end).end()
-    if end != len(line):
-        raise json.JSONDecodeError("Extra data", line, end)
-    return obj
+_SCAN_ONCE = json.JSONDecoder().scan_once
 
 
 def parse_issues(document: bytes | str) -> ParseResult:
@@ -235,15 +220,15 @@ def parse_issues(document: bytes | str) -> ParseResult:
             if not content:
                 continue
             # one C-scanner call decodes a line that holds one whole value;
-            # any other line goes through _decode_line, which raises the
-            # error json.loads would
+            # any other line goes to json.loads, which raises its error: a
+            # stripped line has no JSON whitespace at either end to skip
             try:
                 obj, end = _SCAN_ONCE(content, 0)
             except (StopIteration, json.JSONDecodeError):
                 end = -1
             try:
                 if end != len(content):
-                    obj = _decode_line(content)
+                    obj = json.loads(content)
             except json.JSONDecodeError as exc:
                 line_start = sum(map(len, lines[:index])) + index
                 raise ParseError(
@@ -571,6 +556,9 @@ def load_attributes_csv(path: str | Path) -> dict[str, ProjectAttributes]:
             )
         try:
             metrics = {metric: int(row[column]) for metric, column in columns.items()}
+            for metric, value in metrics.items():
+                if value < 0:
+                    raise ValueError(f"{metric} must be nonnegative, got {value}")
         except ValueError as exc:
             raise ValueError(f"{path}: bad attribute row for {project!r}: {exc}") from exc
         table[project] = ProjectAttributes(category, metrics)

@@ -806,8 +806,10 @@ def test_package_min_faults_default_leaves_the_pipeline_unloaded():
 
 
 def test_package_record_exports_leave_numpy_unloaded():
-    """The model ids and fit records live in the numpy-free records module."""
-    names = "ModelId, MODEL_ORDER, FitResult, GofScores"
+    """The model ids, the static model table and the fit records live in
+    the numpy-free records module."""
+    names = ("ModelId, MODEL_ORDER, FitResult, GofScores, "
+             "descriptor, ModelDescriptor, ShapeClass, classify")
     _run_leaving_unloaded(f"from srgrowth import {names}", "numpy")
 
 
@@ -983,12 +985,13 @@ def test_unknown_format_is_a_usage_error_before_any_output(tmp_path, capsys, ver
 
 
 @pytest.mark.parametrize("verb", ["trend", "fit"])
-@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("value", ["0", "-3", "1.5"])
 def test_min_faults_below_one_is_a_usage_error_before_any_output(
     tmp_path, two_projects, capsys, verb, value
 ):
     """A window with no faults is dropped whatever the least count, so a
-    least count below 1 would only be recorded in the metadata."""
+    least count below 1 would only be recorded in the metadata; a count
+    that is no integer is refused too."""
     releases = tmp_path / "releases.csv"
     releases.write_text("name,start,end\nr1,2021-01-01T00:00:00Z,2022-01-01T00:00:00Z\n")
     out = tmp_path / "out"
@@ -996,12 +999,13 @@ def test_min_faults_below_one_is_a_usage_error_before_any_output(
         main([verb, "--issues", *map(str, two_projects), "--group-by", "releases",
               "--releases", str(releases), "--min-faults", value, "--out", str(out)])
     assert exc.value.code == 2
-    assert f"argument --min-faults: must be at least 1, got {int(value)}" in capsys.readouterr().err
+    reason = "invalid int value: '1.5'" if value == "1.5" else f"must be at least 1, got {value}"
+    assert f"argument --min-faults: {reason}" in capsys.readouterr().err
     assert not out.exists()
 
 
-def _refused_before_any_output(argv, out, capsys, message):
-    assert main([*argv, "--out", str(out)]) == 2
+def _refused_before_any_output(argv, out, capsys, message, status=2):
+    assert main([*argv, "--out", str(out)]) == status
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -1113,10 +1117,19 @@ def test_a_short_csv_row_is_refused_with_its_file_and_line(
     ("releases", "--releases",
      "name,start,end\nr1,2021-01-01T00:00:00Z,2021-06-01T00:00:00Z\n"
      "r2,2021-05-01T00:00:00Z,2021-09-01T00:00:00Z\n", "release windows 'r1' and 'r2' overlap"),
+    ("releases", "--releases", "name,start,end\nr1,2021-06-01T00:00:00Z,2021-01-01T00:00:00Z\n",
+     "release 'r1': start must precede end"),
+    ("releases", "--releases", "name,start,end\nr1,soon,2021-01-01T00:00:00Z\n",
+     "Invalid isoformat string"),
     ("domain", None, None, "--group-by domain needs --attributes"),
     ("domain", "--attributes", "project,category,loc,noc,noi,nofa\na,C9,1,1,1,1\n",
      "category must be C1..C8"),
-], ids=["no-releases", "short-release-row", "overlap", "no-attributes", "bad-category"])
+    ("domain", "--attributes", "project,category,loc,noc,noi,nofa\na,C1,many,1,1,1\n",
+     "side.csv: bad attribute row for 'a'"),
+    ("attribute:LOC", "--attributes", "project,category,loc,noc,noi,nofa\na,C1,-5,1,1,1\n",
+     "side.csv: bad attribute row for 'a': LOC must be nonnegative, got -5"),
+], ids=["no-releases", "short-release-row", "overlap", "start-after-end", "bad-timestamp",
+        "no-attributes", "bad-category", "non-integer-attribute", "negative-attribute"])
 def test_a_bad_side_input_is_reported_before_any_issue_file_is_parsed(
     tmp_path, capsys, verb, grouping, option, text, message
 ):
@@ -1160,6 +1173,18 @@ def test_malformed_fit_metadata_is_refused(tmp_path, capsys, good_fit, verb, met
     argv = [verb, "--fits", str(good_fit), str(bad)]
     message = f"{bad / 'run_metadata.json'}: not the run metadata of a fit"
     _refused_before_any_output(argv, tmp_path / "out", capsys, message)
+
+
+@pytest.mark.parametrize("verb, message", [
+    ("compare", "fit outputs contain no results"), ("rank", "no segments to rank"),
+])
+def test_fits_without_results_exit_three_before_any_output(tmp_path, capsys, verb, message):
+    """A gof.csv with only its header is well formed, but holds no fit to
+    compare or rank."""
+    empty = tmp_path / "fit"
+    empty.mkdir()
+    (empty / "gof.csv").write_text(",".join(GOF_COLUMNS) + "\n")
+    _refused_before_any_output([verb, "--fits", str(empty)], tmp_path / "out", capsys, message, 3)
 
 
 @pytest.mark.parametrize("verb", ["compare", "rank"])

@@ -20,7 +20,6 @@ from srgrowth.pipeline import (
     IssueRecord,
     ParseResult,
     ReleaseWindow,
-    _decode_line,
     _ndjson_line,
     _record_from_dict,
     _unique_sorted,
@@ -319,37 +318,10 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(tricky_text, inner, max_size=3),
     max_leaves=8,
 )
-json_whitespace = st.text(st.sampled_from(" \t\r\n"), max_size=3)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    value=json_values,
-    indent=st.none() | st.integers(0, 2),
-    cut=st.integers(0, 2),
-    bom=st.booleans(),
-    lead=json_whitespace,
-    tail=json_whitespace,
-    garbage=st.sampled_from(["", "x", "}", "{}", "1", '"a"', "\ufeff", "\x0b"]) | st.text(max_size=3),
-)
-def test_decode_line_matches_json_loads(value, indent, cut, bom, lead, tail, garbage):
-    """One line decodes to what json.loads gives, or fails with its message
-    and position: a leading BOM, trailing garbage and whitespace inside,
-    before and after the value, with up to two characters cut off it."""
-    text = json.dumps(value, indent=indent)
-    line = "\ufeff" * bom + lead + text[: len(text) - cut] + tail + garbage
-    try:
-        expected = json.loads(line)
-    except json.JSONDecodeError as exc:
-        with pytest.raises(json.JSONDecodeError) as err:
-            _decode_line(line)
-        assert (err.value.msg, err.value.pos) == (exc.msg, exc.pos)
-    else:
-        assert _decode_line(line) == expected
 
 
 def parse_ndjson_line_by_line(document: str) -> ParseResult:
-    """parse_issues on an NDJSON document, with ``_decode_line`` decoding
+    """parse_issues on an NDJSON document, with ``json.loads`` decoding
     every stripped line."""
     text = document.removeprefix("\ufeff")
     bom_bytes = 3 * (len(document) - len(text))
@@ -361,7 +333,7 @@ def parse_ndjson_line_by_line(document: str) -> ParseResult:
         if not content:
             continue
         try:
-            obj = _decode_line(content)
+            obj = json.loads(content)
         except json.JSONDecodeError as exc:
             pos = sum(map(len, lines[:index])) + index + line.find(content) + exc.pos
             raise ParseError(
@@ -419,7 +391,7 @@ def ndjson_documents(draw, bad: bool):
 @example(document='{"id": 1, "created_at": "2021-03-01T00:00:00Z"}\u00a0\r\n\r\n\u2028[1]\x85\n')
 def test_parse_issues_decodes_ndjson_as_decode_line_does(document):
     """Every line that holds one value gives the records and notes that
-    ``_decode_line`` on each line gives."""
+    ``json.loads`` on each line gives."""
     for form in (document, document.encode("utf-8")):
         assert parse_issues(form) == parse_ndjson_line_by_line(document)
 
@@ -432,7 +404,7 @@ def test_parse_issues_decodes_ndjson_as_decode_line_does(document):
 @example(document="\ufeff" + json.dumps(raw(1)) + "\n\ufeff{}")
 def test_parse_issues_refuses_a_bad_ndjson_line_as_decode_line_does(document):
     """A line that is not one JSON value raises the ParseError, text and
-    byte offset, that ``_decode_line`` on each line raises."""
+    byte offset, that ``json.loads`` on each line raises."""
     expected = parse_outcome(parse_ndjson_line_by_line, document)
     assert isinstance(expected, tuple)  # every document here has a bad line
     assert parse_outcome(parse_issues, document) == expected
